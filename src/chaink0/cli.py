@@ -8,87 +8,34 @@ input, unresolved references, or unsupported-ring operations.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+from typing import Callable, NamedTuple
 
 from .complexes import ChainMap, ProjComplex, ProjModule, homology, validate_complex, verify_chain_map
 from .constructions import (algebraic_mapping_torus, laurent_resolution,
                             realize, swindle_prefix)
 from .corpus import generate_corpus
 from .documents import (DocumentError, Workspace, canonical_json, complex_literal,
-                        content_digest, homology_literal, matrix_literal,
-                        module_literal, parse_workspace, report_literal,
-                        witness_literal)
+                        homology_literal, matrix_literal, module_literal,
+                        parse_workspace, report_literal, witness_literal)
 from .instant import (Domination, TrimPreconditionError, build_instant,
                       finite_projective_reduction, finiteness_obstruction,
                       free_replacement, trim_below, verify_domination)
 from .matrices import ShapeError
 from .projective import quadratic_class_oracle, rank
 from .rings import QuadraticRing, RingMismatch, UnsupportedRing
-from .verdicts import Report
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="chaink0",
-        description="chain-level finiteness-obstruction engine")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, named=True):
-        sp.add_argument("--input", required=True, help="workspace document path")
-        if named:
-            sp.add_argument("--name", required=True, help="object name")
-        sp.add_argument("--output", help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=("text", "structured"),
-                        default="structured")
-
-    common(sub.add_parser("verify", help="check a complex, map, or domination"))
-    common(sub.add_parser("homology", help="lattice homology of a complex"))
-    common(sub.add_parser("instant", help="assemble the instant-obstruction data"))
-    ob = sub.add_parser("obstruction", help="(chi, sigma) of a domination")
-    common(ob)
-    ob.add_argument("--class-bound", type=int, default=None,
-                    help="norm bound for the quadratic class oracle")
-    tr = sub.add_parser("trim", help="peel acyclic bottom degrees")
-    common(tr)
-    tr.add_argument("--below", type=int, required=True,
-                    help="trim degrees <= this value")
-    fr = sub.add_parser("free-replace", help="replace a stably free module")
-    common(fr)
-    fr.add_argument("--witness", required=True, help="witness name")
-    lr = sub.add_parser("laurent-resolve", help="(1-t)+1 resolution of a module")
-    common(lr)
-    lr.add_argument("--window", type=int, default=8)
-    sw = sub.add_parser("swindle", help="finite swindle prefix of a module")
-    common(sw)
-    sw.add_argument("--window", type=int, default=8,
-                    help="prefix length")
-    common(sub.add_parser("torus", help="algebraic mapping torus of an endomorphism"))
-    rl = sub.add_parser("realize", help="dominated complex with a prescribed class")
-    common(rl)
-    rl.add_argument("--degree", type=int, default=0)
-    rl.add_argument("--class-bound", type=int, default=None)
-    cp = sub.add_parser("corpus", help="generate a seeded domination corpus")
-    cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("--count", type=int, default=10)
-    cp.add_argument("--ring", choices=("integers", "c2"), default="integers")
-    cp.add_argument("--output", help="write the document here instead of stdout")
-    cp.add_argument("--format", choices=("text", "structured"),
-                    default="structured")
-    return p
+from .verdicts import Report, VerificationFailed
 
 
 def _load(args) -> tuple[Workspace, str]:
+    """The parsed document and the SHA-256 of its raw text."""
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as ex:
         raise DocumentError(f"cannot read input: {ex}") from ex
-    return parse_workspace(text), content_digest_text(text)
-
-
-def content_digest_text(text: str) -> str:
-    import hashlib
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return parse_workspace(text), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _emit(args, payload: dict) -> None:
@@ -122,11 +69,13 @@ def _as_text(payload, indent: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _obstruction_payload(dom: Domination, bound: int | None) -> tuple[dict, Report]:
-    rep = verify_domination(dom)
-    if not rep.ok:
-        return {"verify": report_literal(rep)}, rep
-    ob = finiteness_obstruction(dom)
+def _obstruction_payload(dom: Domination, bound: int | None) -> tuple[dict, bool]:
+    """(payload, ok); a domination failing verification is reported under
+    "verify"."""
+    try:
+        ob = finiteness_obstruction(dom)
+    except VerificationFailed as ex:
+        return {"verify": report_literal(ex.report)}, False
     sigma_trivial = not ob.sigma.plus and not ob.sigma.minus
     payload: dict = {
         "chi": ob.chi,
@@ -150,146 +99,193 @@ def _obstruction_payload(dom: Domination, bound: int | None) -> tuple[dict, Repo
                 "generator": (probe[0].ring.literal(v.generator)
                               if v.generator is not None else None),
             }
-    return payload, Report()
+    return payload, True
+
+
+def _rejected(code: str, **fields) -> tuple[dict, bool]:
+    rep = Report()
+    rep.add(code, **fields)
+    return {"report": report_literal(rep)}, False
+
+
+def _at_least(args, dest: str, low: int) -> int:
+    """The value of --dest, rejected as malformed input when below `low`."""
+    value = getattr(args, dest)
+    if value < low:
+        raise DocumentError(f"--{dest} must be at least {low}, got {value}")
+    return value
+
+
+# Handlers: (args, workspace, named object) -> (payload, ok).
+
+def _verify(args, ws, obj):
+    if isinstance(obj, ProjComplex):
+        rep = validate_complex(obj)
+    elif isinstance(obj, ChainMap):
+        rep = verify_chain_map(obj)
+    elif isinstance(obj, Domination):
+        rep = verify_domination(obj)
+    else:
+        rep = obj.validate()
+    return {"report": report_literal(rep)}, rep.ok
+
+
+def _homology(args, ws, x):
+    return {"homology": homology_literal(homology(x))}, True
+
+
+def _instant(args, ws, dom):
+    inst = build_instant(dom)
+    return {"F_rank": inst.F_rank,
+            "P": matrix_literal(inst.P),
+            "boundaries": [matrix_literal(b) for b in inst.boundaries],
+            "reduction": complex_literal(finite_projective_reduction(inst),
+                                         dom.A.ring)}, True
+
+
+def _obstruction(args, ws, dom):
+    return _obstruction_payload(dom, args.class_bound)
+
+
+def _trim(args, ws, x):
+    try:
+        res = trim_below(x, args.below)
+    except TrimPreconditionError as ex:
+        return _rejected("trim.homology_nonvanishing", degree=ex.degree)
+    return {"complex": complex_literal(res.complex, ws.ring),
+            "splittings": {str(k): matrix_literal(v)
+                           for k, v in sorted(res.splittings.items())}}, True
+
+
+def _free_replace(args, ws, x):
+    if args.witness not in ws.witnesses:
+        raise DocumentError(f"unresolved witness reference: {args.witness!r}")
+    try:
+        out, fwd, bwd = free_replacement(x, ws.witnesses[args.witness])
+    except ValueError as ex:
+        return _rejected("free_replace.rejected", detail=str(ex))
+    return {"complex": complex_literal(out, ws.ring),
+            "forward": {str(n): matrix_literal(m)
+                        for n, m in sorted(fwd.components.items())},
+            "backward": {str(n): matrix_literal(m)
+                         for n, m in sorted(bwd.components.items())}}, True
+
+
+def _laurent_resolve(args, ws, p):
+    cx, chk = laurent_resolution(p, _at_least(args, "window", 1))
+    return {"complex": complex_literal(cx, ws.ring),
+            "window_check": chk.as_dict()}, chk.ok
+
+
+def _swindle(args, ws, p):
+    cx = swindle_prefix(p, _at_least(args, "window", 1))
+    return {"complex": complex_literal(cx, ws.ring),
+            "homology": homology_literal(homology(cx))}, True
+
+
+def _torus(args, ws, f):
+    if f.source != f.target:
+        raise DocumentError("mapping torus needs an endomorphism")
+    return {"complex": complex_literal(algebraic_mapping_torus(f), ws.ring)}, True
+
+
+def _realize(args, ws, p):
+    a, dom = realize(p, _at_least(args, "degree", 0))
+    payload, ok = _obstruction_payload(dom, args.class_bound)
+    payload["complex"] = complex_literal(a, ws.ring)
+    return payload, ok
+
+
+def _corpus(args, ws, obj):
+    return generate_corpus(args.seed, _at_least(args, "count", 1), args.ring), True
+
+
+class Command(NamedTuple):
+    help: str
+    accepts: tuple | None   # types the named object may have; None: no document
+    noun: str               # completes "'name' is not ..."
+    handler: Callable
+    flags: tuple = ()       # (flag, add_argument keywords) beyond the common ones
+
+
+_CLASS_BOUND = {"type": int, "default": None}
+
+COMMANDS = {
+    "verify": Command("check a complex, map, or domination",
+                      (ProjComplex, ChainMap, Domination, ProjModule),
+                      "verifiable on its own", _verify),
+    "homology": Command("lattice homology of a complex", (ProjComplex,),
+                        "a complex", _homology),
+    "instant": Command("assemble the instant-obstruction data", (Domination,),
+                       "a domination", _instant),
+    "obstruction": Command(
+        "(chi, sigma) of a domination", (Domination,), "a domination",
+        _obstruction,
+        (("--class-bound", dict(_CLASS_BOUND,
+                                help="norm bound for the quadratic class oracle")),)),
+    "trim": Command("peel acyclic bottom degrees", (ProjComplex,), "a complex",
+                    _trim, (("--below", {"type": int, "required": True,
+                                         "help": "trim degrees <= this value"}),)),
+    "free-replace": Command("replace a stably free module", (ProjComplex,),
+                            "a complex", _free_replace,
+                            (("--witness", {"required": True, "help": "witness name"}),)),
+    "laurent-resolve": Command("(1-t)+1 resolution of a module", (ProjModule,),
+                               "a module", _laurent_resolve,
+                               (("--window", {"type": int, "default": 8}),)),
+    "swindle": Command("finite swindle prefix of a module", (ProjModule,),
+                       "a module", _swindle,
+                       (("--window", {"type": int, "default": 8,
+                                      "help": "prefix length"}),)),
+    "torus": Command("algebraic mapping torus of an endomorphism", (ChainMap,),
+                     "a chain map", _torus),
+    "realize": Command("dominated complex with a prescribed class", (ProjModule,),
+                       "a module", _realize,
+                       (("--degree", {"type": int, "default": 0}),
+                        ("--class-bound", _CLASS_BOUND))),
+    "corpus": Command("generate a seeded domination corpus", None, "", _corpus,
+                      (("--seed", {"type": int, "default": 0}),
+                       ("--count", {"type": int, "default": 10}),
+                       ("--ring", {"choices": ("integers", "c2"),
+                                   "default": "integers"}))),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="chaink0",
+        description="chain-level finiteness-obstruction engine")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
+        if cmd.accepts is not None:
+            sp.add_argument("--input", required=True, help="workspace document path")
+            sp.add_argument("--name", required=True, help="object name")
+        written = "report" if cmd.accepts is not None else "document"
+        sp.add_argument("--output", help=f"write the {written} here instead of stdout")
+        sp.add_argument("--format", choices=("text", "structured"),
+                        default="structured")
+        for flag, kwargs in cmd.flags:
+            sp.add_argument(flag, **kwargs)
+    return p
 
 
 def _run(args) -> int:
-    cmd = args.command
-    if cmd == "corpus":
-        doc = generate_corpus(args.seed, args.count, args.ring)
-        _emit(args, doc)
-        return 0
-
-    ws, digest = _load(args)
-    provenance = {"input_digest": digest, "name": args.name}
-    obj = ws.find(args.name)
-
-    if cmd == "verify":
-        if isinstance(obj, ProjComplex):
-            rep = validate_complex(obj)
-        elif isinstance(obj, ChainMap):
-            rep = verify_chain_map(obj)
-        elif isinstance(obj, Domination):
-            rep = verify_domination(obj)
-        elif isinstance(obj, ProjModule):
-            rep = obj.validate()
-        else:
-            raise DocumentError(f"{args.name!r} is not verifiable on its own")
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "report": report_literal(rep)})
-        return 0 if rep.ok else 2
-
-    if cmd == "homology":
-        if not isinstance(obj, ProjComplex):
-            raise DocumentError(f"{args.name!r} is not a complex")
-        h = homology(obj)
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "homology": homology_literal(h)})
-        return 0
-
-    if cmd == "instant":
-        if not isinstance(obj, Domination):
-            raise DocumentError(f"{args.name!r} is not a domination")
-        rep = verify_domination(obj)
-        if not rep.ok:
-            _emit(args, {"command": cmd, "provenance": provenance,
-                         "report": report_literal(rep)})
-            return 2
-        inst = build_instant(obj)
-        red = finite_projective_reduction(inst)
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "F_rank": inst.F_rank,
-                     "P": matrix_literal(inst.P),
-                     "boundaries": [matrix_literal(b) for b in inst.boundaries],
-                     "reduction": complex_literal(red, obj.A.ring)})
-        return 0
-
-    if cmd == "obstruction":
-        if not isinstance(obj, Domination):
-            raise DocumentError(f"{args.name!r} is not a domination")
-        payload, rep = _obstruction_payload(obj, args.class_bound)
-        payload.update({"command": cmd, "provenance": provenance})
-        _emit(args, payload)
-        return 0 if rep.ok else 2
-
-    if cmd == "trim":
-        if not isinstance(obj, ProjComplex):
-            raise DocumentError(f"{args.name!r} is not a complex")
+    cmd = COMMANDS[args.command]
+    if cmd.accepts is None:
+        payload, ok = cmd.handler(args, None, None)
+    else:
+        ws, digest = _load(args)
+        obj = ws.find(args.name)
+        if not isinstance(obj, cmd.accepts):
+            raise DocumentError(f"{args.name!r} is not {cmd.noun}")
         try:
-            res = trim_below(obj, args.below)
-        except TrimPreconditionError as ex:
-            rep = Report()
-            rep.add("trim.homology_nonvanishing", degree=ex.degree)
-            _emit(args, {"command": cmd, "provenance": provenance,
-                         "report": report_literal(rep)})
-            return 2
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "complex": complex_literal(res.complex, ws.ring),
-                     "splittings": {str(k): matrix_literal(v)
-                                    for k, v in sorted(res.splittings.items())}})
-        return 0
-
-    if cmd == "free-replace":
-        if not isinstance(obj, ProjComplex):
-            raise DocumentError(f"{args.name!r} is not a complex")
-        if args.witness not in ws.witnesses:
-            raise DocumentError(f"unresolved witness reference: {args.witness!r}")
-        try:
-            out, fwd, bwd = free_replacement(obj, ws.witnesses[args.witness])
-        except ValueError as ex:
-            rep = Report()
-            rep.add("free_replace.rejected", detail=str(ex))
-            _emit(args, {"command": cmd, "provenance": provenance,
-                         "report": report_literal(rep)})
-            return 2
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "complex": complex_literal(out, ws.ring),
-                     "forward": {str(n): matrix_literal(m)
-                                 for n, m in sorted(fwd.components.items())},
-                     "backward": {str(n): matrix_literal(m)
-                                  for n, m in sorted(bwd.components.items())}})
-        return 0
-
-    if cmd == "laurent-resolve":
-        if not isinstance(obj, ProjModule):
-            raise DocumentError(f"{args.name!r} is not a module")
-        cx, chk = laurent_resolution(obj, args.window)
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "complex": complex_literal(cx, ws.ring),
-                     "window_check": chk.as_dict()})
-        return 0 if chk.ok else 2
-
-    if cmd == "swindle":
-        if not isinstance(obj, ProjModule):
-            raise DocumentError(f"{args.name!r} is not a module")
-        cx = swindle_prefix(obj, args.window)
-        h = homology(cx)
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "complex": complex_literal(cx, ws.ring),
-                     "homology": homology_literal(h)})
-        return 0
-
-    if cmd == "torus":
-        if not isinstance(obj, ChainMap):
-            raise DocumentError(f"{args.name!r} is not a chain map")
-        if obj.source != obj.target:
-            raise DocumentError("mapping torus needs an endomorphism")
-        t = algebraic_mapping_torus(obj)
-        _emit(args, {"command": cmd, "provenance": provenance,
-                     "complex": complex_literal(t, ws.ring)})
-        return 0
-
-    if cmd == "realize":
-        if not isinstance(obj, ProjModule):
-            raise DocumentError(f"{args.name!r} is not a module")
-        a, dom = realize(obj, args.degree)
-        payload, rep = _obstruction_payload(dom, args.class_bound)
-        payload.update({"command": cmd, "provenance": provenance,
-                        "complex": complex_literal(a, ws.ring)})
-        _emit(args, payload)
-        return 0 if rep.ok else 2
-
-    raise DocumentError(f"unknown command {cmd!r}")
+            payload, ok = cmd.handler(args, ws, obj)
+        except VerificationFailed as ex:
+            payload, ok = {"report": report_literal(ex.report)}, False
+        payload.update({"command": args.command,
+                        "provenance": {"input_digest": digest, "name": args.name}})
+    _emit(args, payload)
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import intlinalg
 from .matrices import Mat, ShapeError
 from .rings import Ring, RingMismatch, UnsupportedRing
-from .verdicts import Report
+from .verdicts import Report, VerificationFailed
 
 
 class ProjModule:
@@ -379,10 +379,14 @@ def _lattice_boundaries(x: ProjComplex) -> tuple[dict, dict]:
 
 
 def homology(x: ProjComplex) -> HomologyResult:
-    """Homology of the underlying integer lattice, inside idempotent images."""
+    """Homology of the underlying integer lattice, inside idempotent images.
+
+    Raises VerificationFailed, with validate_complex's report, on an
+    invalid complex.
+    """
     rep = validate_complex(x)
     if not rep.ok:
-        raise ValueError(f"invalid complex: {rep.as_dict()['violations']}")
+        raise VerificationFailed("invalid complex", rep)
     ranks, mats = _lattice_boundaries(x)
     out = {}
     for n in x.degrees():

@@ -60,6 +60,8 @@ def laurent_window_check(p: ProjModule, window: int) -> WindowedLaurentCheck:
     the domain is restricted to exponents [-N, N-1] so the image stays in
     [-N, N], and the im(1-e) part uses the full [-N, N].
     """
+    if window < 1:
+        raise ValueError("window must be at least 1")
     ring = _base_ring_checked(p)
     k = ring.flat_rank
     m = p.ambient_rank

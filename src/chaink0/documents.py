@@ -9,7 +9,6 @@ indented JSON with a trailing newline.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .complexes import ChainMap, Homotopy, HomologyResult, ProjComplex, ProjModule
@@ -26,10 +25,6 @@ class DocumentError(ValueError):
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def content_digest(obj) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 # --- literal writers --------------------------------------------------------

@@ -19,7 +19,7 @@ from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
 from .matrices import Mat, MatrixSolver, ShapeError
 from .projective import (ObstructionReport, StableFreenessWitness, k0_class_of_complex,
                          split_k0, verify_stable_freeness)
-from .verdicts import Report
+from .verdicts import Report, VerificationFailed
 
 
 @dataclass(frozen=True)
@@ -114,13 +114,15 @@ def _assemble(d: Domination, tgt_degs, src_degs, blk) -> Mat:
 def build_instant(d: Domination) -> InstantData:
     """Assemble P, the boundaries of F_*, I, R, and the IR homotopy.
 
+    The domination is verified first, here and nowhere else on the way to
+    an obstruction; a failure raises VerificationFailed with its report.
     Every defining identity (P idempotent, boundaries composing to zero
     including the periodic tail, R I = r i, the homotopy certificates) is
     verified exactly before returning.
     """
     rep = verify_domination(d)
     if not rep.ok:
-        raise ValueError(f"invalid domination: {rep.as_dict()['violations']}")
+        raise VerificationFailed("invalid domination", rep)
     ring = d.A.ring
     n = d.top
     degs = list(range(0, n + 1))
@@ -219,18 +221,18 @@ def _audit_instant(inst: InstantData) -> None:
 
 
 def finite_projective_reduction(inst: InstantData) -> ProjComplex:
-    """The finite truncation: im(P) at degree 0, free F_m in degrees 1..n."""
+    """The finite truncation: im(P) at degree 0, free F_m in degrees 1..n.
+
+    Not validated again: build_instant's audit already proved everything
+    validate_complex tests here (P@P = P, d_{m-1} d_m = 0, P d_1 = d_1, and
+    the free modules are identities).
+    """
     d = inst.domination
     ring = d.A.ring
-    n = d.top
     mods = [ProjModule(inst.P)]
-    for m in range(1, n + 1):
+    for m in range(1, d.top + 1):
         mods.append(ProjModule.free(ring, inst.f_rank(m)))
-    out = ProjComplex(ring, 0, mods, list(inst.boundaries))
-    rep = validate_complex(out)
-    if not rep.ok:
-        raise ArithmeticError(f"reduction invalid: {rep.as_dict()['violations']}")
-    return out
+    return ProjComplex(ring, 0, mods, list(inst.boundaries))
 
 
 def reduction_comparison_maps(inst: InstantData) -> tuple[ChainMap, ChainMap, Homotopy]:

@@ -88,10 +88,6 @@ class Mat:
     def column(self, j: int) -> list:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
-    def submatrix(self, rows, cols) -> "Mat":
-        ents = [self[i, j] for i in rows for j in cols]
-        return Mat(self.ring, len(rows), len(cols), ents)
-
     # --- arithmetic -----------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)

@@ -45,3 +45,12 @@ class Report:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class VerificationFailed(ValueError):
+    """A construction refused input that fails its verification; `report`
+    lists every violation."""
+
+    def __init__(self, what: str, report: Report):
+        super().__init__(f"{what}: {report.as_dict()['violations']}")
+        self.report = report

@@ -4,7 +4,11 @@ import pathlib
 
 import pytest
 
+from chaink0 import cli, complexes, constructions, instant, projective
 from chaink0.cli import main
+from chaink0.corpus import corpus_dominations, generate_corpus
+from chaink0.documents import canonical_json
+from chaink0.matrices import Mat
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -58,6 +62,33 @@ def test_obstruction_of_ideal_domination(capsys):
     assert payload["sigma"]["trivial"] is False
     assert payload["oracle"]["status"] == "non_principal"
     assert payload["oracle"]["norm"] == 2
+
+
+@pytest.mark.parametrize("command", ["homology", "trim"])
+def test_invalid_complex_reported_exit_2(capsys, command):
+    argv = [command, "--input", str(FIXTURES / "bad.json"), "--name", "badComplex"]
+    if command == "trim":
+        argv += ["--below", "0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and err == ""
+    rep = json.loads(out)["report"]
+    assert rep["ok"] is False
+    assert rep["violations"] == [{"code": "complex.dd_nonzero", "degree": 2}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["swindle", "--input", str(FIXTURES / "rp2.json"), "--name", "split",
+     "--window", "0"],
+    ["laurent-resolve", "--input", str(FIXTURES / "rp2.json"), "--name", "split",
+     "--window", "0"],
+    ["realize", "--input", str(FIXTURES / "ideal.json"), "--name", "ideal",
+     "--degree", "-1"],
+    ["corpus", "--count", "0"],
+])
+def test_argument_out_of_range_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
 
 
 def test_trim_rejects_torsion_bottom(capsys):
@@ -161,3 +192,41 @@ def test_repeated_runs_byte_identical(capsys):
     _, one, _ = run(capsys, *args)
     _, two, _ = run(capsys, *args)
     assert one == two
+
+
+def test_obstruction_checks_each_claim_once(tmp_path, capsys, monkeypatch):
+    # An all-free domination whose P is a proper idempotent, so that the
+    # stable-freeness witness is constructed.
+    def proper(d):
+        p = instant.build_instant(d).P
+        return not p.is_zero and p != Mat.identity(d.A.ring, p.rows)
+
+    k = next(k for k, d in enumerate(corpus_dominations(0, 8, "integers"))
+             if proper(d))
+    doc = tmp_path / "corpus.json"
+    doc.write_text(canonical_json(generate_corpus(0, 8, "integers")))
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = ("verify_domination", "verify_homotopy", "validate_complex",
+             "verify_chain_map", "verify_stable_freeness", "_audit_instant")
+    for mod in (complexes, constructions, instant, projective, cli):
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+
+    code, out, _ = run(capsys, "obstruction", "--input", str(doc),
+                       "--name", f"dom{k}")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["witnessed_zero"] is True and "witness" in payload
+    assert calls == {"verify_domination": 1, "verify_homotopy": 1,
+                     "validate_complex": 2,        # A and C
+                     "verify_chain_map": 3,        # i, r, and u in mapping_cone
+                     "verify_stable_freeness": 1, "_audit_instant": 1}

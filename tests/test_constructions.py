@@ -83,6 +83,11 @@ def test_swindle_prefix_rejects_empty():
         swindle_prefix(split_line(), 0)
 
 
+def test_laurent_window_check_rejects_empty_window():
+    with pytest.raises(ValueError, match="window"):
+        laurent_window_check(split_line(), 0)
+
+
 def test_torus_of_point_boundaries():
     pt = ProjComplex.free_complex(ZZ, 0, [1], [])
     ident = algebraic_mapping_torus(ChainMap.identity(pt))

@@ -61,13 +61,17 @@ def write_documents(docs: pathlib.Path) -> None:
 def cases(docs: pathlib.Path) -> dict:
     """Case name -> argv.  Fixture paths are relative to the repository root;
     the generated documents live in `docs`."""
-    out = {}
-    for argv, _ in _fixture_commands():
-        # At the commit that recorded golden.json this case ended in a
-        # traceback, which is no contract to pin.
-        if argv[:1] == ["homology"] and "badComplex" in argv:
-            continue
-        out[" ".join(argv)] = argv
+    fx = "tests/fixtures/"
+    bad, ideal, rp2 = fx + "bad.json", fx + "ideal.json", fx + "rp2.json"
+    commands = [argv for argv, _ in _fixture_commands()] + [
+        ["homology", "--input", bad, "--name", "badComplex"],
+        ["trim", "--input", bad, "--name", "badComplex", "--below", "0"],
+        ["swindle", "--input", rp2, "--name", "split", "--window", "0"],
+        ["laurent-resolve", "--input", rp2, "--name", "split", "--window", "0"],
+        ["realize", "--input", ideal, "--name", "ideal", "--degree", "-1"],
+        ["corpus", "--count", "0"],
+    ]
+    out = {" ".join(argv): argv for argv in commands}
     for cmd in ("obstruction", "instant"):
         for ring in CORPUS_RINGS:
             doc = str(docs / f"corpus-{ring}.json")
