@@ -28,7 +28,7 @@ from .rings import (C2, ZZ, GroupRing, IntegerRing, LaurentRing, QuadraticRing,
                     Ring, RingElement, RingMismatch, UnsupportedRing, augment,
                     laurent_evaluate, regular_representation,
                     ring_from_descriptor)
-from .verdicts import Report, Violation
+from .verdicts import Report, VerificationFailed, Violation
 
 __version__ = "0.1.0"
 

@@ -208,7 +208,8 @@ class Command(NamedTuple):
     flags: tuple = ()       # (flag, add_argument keywords) beyond the common ones
 
 
-_CLASS_BOUND = {"type": int, "default": None}
+_CLASS_BOUND = ("--class-bound", {"type": int, "default": None,
+                                   "help": "norm bound for the quadratic class oracle"})
 
 COMMANDS = {
     "verify": Command("check a complex, map, or domination",
@@ -218,11 +219,8 @@ COMMANDS = {
                         "a complex", _homology),
     "instant": Command("assemble the instant-obstruction data", (Domination,),
                        "a domination", _instant),
-    "obstruction": Command(
-        "(chi, sigma) of a domination", (Domination,), "a domination",
-        _obstruction,
-        (("--class-bound", dict(_CLASS_BOUND,
-                                help="norm bound for the quadratic class oracle")),)),
+    "obstruction": Command("(chi, sigma) of a domination", (Domination,),
+                           "a domination", _obstruction, (_CLASS_BOUND,)),
     "trim": Command("peel acyclic bottom degrees", (ProjComplex,), "a complex",
                     _trim, (("--below", {"type": int, "required": True,
                                          "help": "trim degrees <= this value"}),)),
@@ -240,8 +238,7 @@ COMMANDS = {
                      "a chain map", _torus),
     "realize": Command("dominated complex with a prescribed class", (ProjModule,),
                        "a module", _realize,
-                       (("--degree", {"type": int, "default": 0}),
-                        ("--class-bound", _CLASS_BOUND))),
+                       (("--degree", {"type": int, "default": 0}), _CLASS_BOUND)),
     "corpus": Command("generate a seeded domination corpus", None, "", _corpus,
                       (("--seed", {"type": int, "default": 0}),
                        ("--count", {"type": int, "default": 10}),
