@@ -14,6 +14,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import sys
 import tempfile
 
@@ -21,12 +22,15 @@ import pytest
 
 from chaink0.cli import main
 from chaink0.corpus import generate_corpus
-from chaink0.documents import canonical_json
+from chaink0.documents import Workspace, canonical_json, workspace_literal
+from chaink0.rings import C2, ZZ
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 CORPUS_RINGS = ("integers", "c2")
 CORPUS_COUNT = 8
+# Dominations A + cone(1_B) with s != 0 and r i != 1, per ring.
+NONTRIVIAL_COUNT = 6
 
 # Z, A = C = Z in degree 0, i = 1, r = 0, s = 0: the homotopy 1 - ri = 1
 # is not witnessed, so the domination is invalid.
@@ -42,19 +46,40 @@ INVALID = {
 }
 
 
-def _fixture_commands() -> list:
+def _workloads():
     path = ROOT / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     mod = importlib.util.module_from_spec(spec)
     sys.modules.setdefault(spec.name, mod)
     spec.loader.exec_module(mod)
-    return mod.fixture_commands(0)
+    return mod
+
+
+def _fixture_commands() -> list:
+    return _workloads().fixture_commands(0)
+
+
+def nontrivial_literal(ring_name: str) -> dict:
+    """NONTRIVIAL_COUNT dominations with s != 0, seeded by the ring name."""
+    ring = {"integers": ZZ, "c2": C2}[ring_name]
+    rng = random.Random(f"golden:{ring_name}")
+    build = _workloads().nontrivial_domination
+    ws = Workspace(ring, {})
+    for k in range(NONTRIVIAL_COUNT):
+        d = build(rng, ring)
+        ws.complexes[f"A{k}"], ws.complexes[f"C{k}"] = d.A, d.C
+        ws.maps[f"i{k}"], ws.maps[f"r{k}"] = d.i, d.r
+        ws.homotopies[f"s{k}"] = d.s
+        ws.dominations[f"dom{k}"] = d
+    return workspace_literal(ws)
 
 
 def write_documents(docs: pathlib.Path) -> None:
     for ring in CORPUS_RINGS:
         text = canonical_json(generate_corpus(0, CORPUS_COUNT, ring))
         (docs / f"corpus-{ring}.json").write_text(text, encoding="utf-8")
+        text = canonical_json(nontrivial_literal(ring))
+        (docs / f"nontrivial-{ring}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
 
 
@@ -70,6 +95,8 @@ def cases(docs: pathlib.Path) -> dict:
         ["laurent-resolve", "--input", rp2, "--name", "split", "--window", "0"],
         ["realize", "--input", ideal, "--name", "ideal", "--degree", "-1"],
         ["corpus", "--count", "0"],
+        ["realize", "--input", ideal, "--name", "ideal", "--degree", "3"],
+        ["realize", "--input", rp2, "--name", "split", "--degree", "3"],
     ]
     out = {" ".join(argv): argv for argv in commands}
     for cmd in ("obstruction", "instant"):
@@ -80,6 +107,10 @@ def cases(docs: pathlib.Path) -> dict:
                     cmd, "--input", doc, "--name", f"dom{k}"]
             out[f"{cmd} corpus-{ring} dom0 --format text"] = [
                 cmd, "--input", doc, "--name", "dom0", "--format", "text"]
+            doc = str(docs / f"nontrivial-{ring}.json")
+            for k in range(NONTRIVIAL_COUNT):
+                out[f"{cmd} nontrivial-{ring} dom{k}"] = [
+                    cmd, "--input", doc, "--name", f"dom{k}"]
         out[f"{cmd} invalid dom"] = [
             cmd, "--input", str(docs / "invalid.json"), "--name", "dom"]
     return out
