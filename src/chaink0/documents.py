@@ -146,6 +146,14 @@ def _ref(table: dict, name, what: str):
     return table[name]
 
 
+def _table(raw: dict, key: str) -> list:
+    """The (name, literal) pairs of one named table, sorted; absent is empty."""
+    table = raw.get(key, {})
+    if not isinstance(table, dict):
+        raise DocumentError(f"table {key!r} must be a JSON object")
+    return sorted(table.items())
+
+
 def parse_workspace(text: str) -> Workspace:
     try:
         raw = json.loads(text)
@@ -158,9 +166,9 @@ def parse_workspace(text: str) -> Workspace:
     except (ValueError, TypeError) as ex:
         raise DocumentError(f"bad ring descriptor: {ex}") from ex
     ws = Workspace(ring, raw)
-    for name, lit in sorted(raw.get("modules", {}).items()):
+    for name, lit in _table(raw, "modules"):
         ws.modules[name] = parse_module(lit, ring)
-    for name, lit in sorted(raw.get("complexes", {}).items()):
+    for name, lit in _table(raw, "complexes"):
         ws.complexes[name] = parse_complex(lit, ring)
 
     def map_ends(lit):
@@ -175,24 +183,24 @@ def parse_workspace(text: str) -> Workspace:
             comps[deg] = parse_matrix(mlit, src.ring)
         return src, tgt, comps
 
-    for name, lit in sorted(raw.get("maps", {}).items()):
+    for name, lit in _table(raw, "maps"):
         src, tgt, comps = map_ends(lit)
         try:
             ws.maps[name] = ChainMap(src, tgt, comps)
         except (ShapeError, RingMismatch) as ex:
             raise DocumentError(f"map {name!r}: {ex}") from ex
-    for name, lit in sorted(raw.get("homotopies", {}).items()):
+    for name, lit in _table(raw, "homotopies"):
         src, tgt, comps = map_ends(lit)
         try:
             ws.homotopies[name] = Homotopy(src, tgt, comps)
         except (ShapeError, RingMismatch) as ex:
             raise DocumentError(f"homotopy {name!r}: {ex}") from ex
-    for name, lit in sorted(raw.get("witnesses", {}).items()):
+    for name, lit in _table(raw, "witnesses"):
         ws.witnesses[name] = StableFreenessWitness(
             _expect(lit, "a", int), _expect(lit, "b", int),
             parse_matrix(_expect(lit, "iso"), ring),
             parse_matrix(_expect(lit, "iso_inverse"), ring))
-    for name, lit in sorted(raw.get("dominations", {}).items()):
+    for name, lit in _table(raw, "dominations"):
         ws.dominations[name] = Domination(
             A=_ref(ws.complexes, _expect(lit, "A"), "complex"),
             C=_ref(ws.complexes, _expect(lit, "C"), "complex"),

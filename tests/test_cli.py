@@ -109,6 +109,16 @@ def test_malformed_input_exit_1(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("table", ["modules", "complexes", "maps", "homotopies",
+                                   "witnesses", "dominations"])
+def test_table_not_an_object_exit_1(tmp_path, capsys, table):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"ring": {"kind": "integers"}, table: [1, 2]}))
+    code, out, err = run(capsys, "verify", "--input", str(doc), "--name", "x")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unresolved_name_exit_1(capsys):
     code, _, err = run(capsys, "verify", "--input", str(FIXTURES / "rp2.json"),
                        "--name", "ghost")
