@@ -96,27 +96,27 @@ def laurent_window_check(p: ProjModule, window: int) -> WindowedLaurentCheck:
     # Evaluation t -> 1 followed by projection to the im(e) lattice.
     e_mat = intlinalg.columns_to_matrix(e_basis, amb)
     e_solver = intlinalg.IntegerSolver(e_mat, len(e_basis))
-    phi_cols = []
-    for j in range(cod_dim):
-        x_idx, i = divmod(j, amb)
-        vec = [e_flat[t][i] for t in range(amb)]
-        coords = e_solver.solve(vec)
+    # The image of a coordinate does not depend on its exponent slot.
+    proj_cols = []
+    for i in range(amb):
+        coords = e_solver.solve([e_flat[t][i] for t in range(amb)])
         if coords is None:
             raise ArithmeticError("evaluation image leaves the e-lattice")
-        phi_cols.append(coords)
-    phi = intlinalg.columns_to_matrix(phi_cols, len(e_basis))
+        proj_cols.append(coords)
+    phi = intlinalg.columns_to_matrix(proj_cols * len(exps), len(e_basis))
+    phi_solver = intlinalg.IntegerSolver(phi, cod_dim)
 
     details = []
     comp = intlinalg.mat_mul(phi, dmat)
     comp_zero = all(all(v == 0 for v in row) for row in comp)
     if not comp_zero:
         details.append("phi after boundary is nonzero")
-    diag = intlinalg.smith_normal_form(phi, cod_dim).diagonal()
+    diag = phi_solver.snf.diagonal()
     surjective = diag.count(1) == len(e_basis)
     if not surjective:
         details.append("phi not surjective onto the e-lattice")
     kernel_in_image = True
-    for kvec in intlinalg.IntegerSolver(phi, cod_dim).kernel_basis():
+    for kvec in phi_solver.kernel_basis():
         if dsolver.solve(kvec) is None:
             kernel_in_image = False
             break
