@@ -425,12 +425,8 @@ def mapping_cone(f: ChainMap) -> ProjComplex:
         return ProjComplex.zero(ring)
     degs = sorted(set(tgt.degrees()) | {n + 1 for n in src.degrees()})
     lo, hi = degs[0], degs[-1]
-    mods = []
-    for n in range(lo, hi + 1):
-        mods.append(ProjModule(Mat.block([
-            [tgt.idem(n), Mat.zero(ring, tgt.rank_at(n), src.rank_at(n - 1))],
-            [Mat.zero(ring, src.rank_at(n - 1), tgt.rank_at(n)), src.idem(n - 1)],
-        ])))
+    mods = [ProjModule(Mat.diag(ring, tgt.idem(n), src.idem(n - 1)))
+            for n in range(lo, hi + 1)]
     bnds = []
     for n in range(lo + 1, hi + 1):
         bnds.append(Mat.block([
@@ -455,18 +451,10 @@ def direct_sum(x: ProjComplex, y: ProjComplex) -> ProjComplex:
     ring = x.ring
     lo = min(x.bottom_degree, y.bottom_degree)
     hi = max(x.top_degree, y.top_degree)
-    mods = []
-    for n in range(lo, hi + 1):
-        mods.append(ProjModule(Mat.block([
-            [x.idem(n), Mat.zero(ring, x.rank_at(n), y.rank_at(n))],
-            [Mat.zero(ring, y.rank_at(n), x.rank_at(n)), y.idem(n)],
-        ])))
-    bnds = []
-    for n in range(lo + 1, hi + 1):
-        bnds.append(Mat.block([
-            [x.boundary(n), Mat.zero(ring, x.rank_at(n - 1), y.rank_at(n))],
-            [Mat.zero(ring, y.rank_at(n - 1), x.rank_at(n)), y.boundary(n)],
-        ]))
+    mods = [ProjModule(Mat.diag(ring, x.idem(n), y.idem(n)))
+            for n in range(lo, hi + 1)]
+    bnds = [Mat.diag(ring, x.boundary(n), y.boundary(n))
+            for n in range(lo + 1, hi + 1)]
     return ProjComplex(ring, lo, mods, bnds)
 
 

@@ -56,14 +56,8 @@ def random_domination(rng: random.Random, ring: Ring) -> Domination:
         ra, rc = a.rank_at(n), c.rank_at(n)
         if ra == 0:
             continue
-        pad = rc - ra
-        inc = a.idem(n)
-        prj = a.idem(n)
-        if pad:
-            inc = Mat.block([[inc], [Mat.zero(ring, pad, ra)]])
-            prj = Mat.block([[prj, Mat.zero(ring, ra, pad)]])
-        i_comps[n] = inc
-        r_comps[n] = prj
+        i_comps[n] = Mat.diag(ring, a.idem(n), Mat.zero(ring, rc - ra, 0))
+        r_comps[n] = Mat.diag(ring, a.idem(n), Mat.zero(ring, 0, rc - ra))
     return Domination(a, c, ChainMap(a, c, i_comps), ChainMap(c, a, r_comps),
                       Homotopy.zero(a))
 

@@ -1,10 +1,18 @@
 """The instant finiteness obstruction.
 
 From a chain domination (A, C, i, r, s) with s d + d s = 1 - r i, assemble
-the block idempotent P on F = C_0 + ... + C_n, the periodic boundaries on
-F_m = C_m + ... + C_n, the comparison maps I and R, and the finite
-projective truncation whose degree-0 module is im(P).  The class of that
-truncation in reduced K0 is the finiteness obstruction.
+one block idempotent P on F = C_0 + ... + C_n:
+
+    P[j][k]   = (-1)^k i_j s^(j-k) r_k, plus 1 when j = k is odd  (k <= j)
+    P[j][j+1] = (-1)^j d_(j+1),  and every block above that is 0.
+
+Everything else is read off P.  On F_m = C_m + ... + C_n the boundary
+F_m -> F_(m-1) is the block of P (m odd) or of 1 - P (m even) on rows
+C_(m-1..n) and columns C_(m..n); below degree 0 the complex continues with
+the same pattern 1 - P, P, 1 - P, ...  The comparison maps are
+I[m] = (i_c s^(c-m))_c, R[m] = [r_m | 0] and the homotopy h[m] = [0 | 1].
+The finite projective truncation has im(P) in degree 0, and its class in
+reduced K0 is the finiteness obstruction.
 
 Also here: the trim construction that shortens a complex with acyclic
 bottom degrees, and the replacement of a stably free module by free ones.
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                         homology, mapping_cone, validate_complex,
                         verify_chain_map, verify_homotopy)
-from .matrices import Mat, MatrixSolver, ShapeError
+from .matrices import Mat, MatrixSolver
 from .projective import (ObstructionReport, StableFreenessWitness, k0_class_of_complex,
                          split_k0, verify_stable_freeness)
 from .verdicts import Report, VerificationFailed
@@ -65,9 +73,9 @@ def verify_domination(d: Domination) -> Report:
 class InstantData:
     """The assembled instant-obstruction package.
 
-    boundaries[m-1] is the map F_m -> F_{m-1} for m = 1..n; below degree 0
-    the complex continues with the alternating pattern 1-P, P, 1-P, ...
-    which is never materialized.
+    boundaries[m-1] is the map F_m -> F_{m-1} for m = 1..n, a block of P or
+    of 1-P; below degree 0 the complex continues with the alternating
+    pattern 1-P, P, 1-P, ... which is never materialized.
     """
 
     domination: Domination
@@ -81,34 +89,6 @@ class InstantData:
     def f_rank(self, m: int) -> int:
         c = self.domination.C
         return sum(c.rank_at(j) for j in range(m, self.domination.top + 1))
-
-
-def _s_power(d: Domination, k: int, p: int) -> Mat:
-    """s^p as a map A_k -> A_{k+p}; p = 0 gives A's idempotent at k."""
-    if p == 0:
-        return d.A.idem(k)
-    return d.s.component(k + p - 1) @ _s_power(d, k, p - 1)
-
-
-def _isr(d: Domination, src: int, tgt: int) -> Mat:
-    """i s^(tgt-src) r as a map C_src -> C_tgt."""
-    return d.i.component(tgt) @ _s_power(d, src, tgt - src) @ d.r.component(src)
-
-
-def _assemble(d: Domination, tgt_degs, src_degs, blk) -> Mat:
-    ring = d.A.ring
-    grid = []
-    for b in tgt_degs:
-        row = []
-        for a in src_degs:
-            m = blk(b, a)
-            row.append(m if m is not None
-                       else Mat.zero(ring, d.C.rank_at(b), d.C.rank_at(a)))
-        grid.append(row)
-    if not grid or not grid[0]:
-        return Mat.zero(ring, sum(d.C.rank_at(b) for b in tgt_degs),
-                        sum(d.C.rank_at(a) for a in src_degs))
-    return Mat.block(grid)
 
 
 def build_instant(d: Domination) -> InstantData:
@@ -125,63 +105,48 @@ def build_instant(d: Domination) -> InstantData:
         raise VerificationFailed("invalid domination", rep)
     ring = d.A.ring
     n = d.top
-    degs = list(range(0, n + 1))
+    rank = d.C.rank_at
+    degs = range(0, n + 1)
+    # i_blocks[m][c - m] = i_c s^(c-m) : A_m -> C_c, from one running power.
+    i_blocks = []
+    for m in degs:
+        power = d.A.idem(m)
+        col = []
+        for c in range(m, n + 1):
+            if c > m:
+                power = d.s.component(c - 1) @ power
+            col.append(d.i.component(c) @ power)
+        i_blocks.append(col)
 
     def p_block(j, k):
-        ident = Mat.identity(ring, d.C.rank_at(j))
-        if j == k:
+        if k < j:
+            m = i_blocks[k][j - k] @ d.r.component(k)
+            return m if k % 2 == 0 else -m
+        if k == j:
             ir = d.i.component(j) @ d.r.component(j)
-            return ir if j % 2 == 0 else ident - ir
+            return ir if j % 2 == 0 else Mat.identity(ring, rank(j)) - ir
         if k == j + 1:
             b = d.C.boundary(k)
             return b if j % 2 == 0 else -b
-        if k < j:
-            m = _isr(d, k, j)
-            return m if k % 2 == 0 else -m
-        return None
+        return Mat.zero(ring, rank(j), rank(k))
 
-    P = _assemble(d, degs, degs, p_block)
-
-    def boundary_block(m):
-        def blk(b, a):
-            k = a - m
-            if b == a - 1:
-                bd = d.C.boundary(a)
-                return bd if k % 2 == 0 else -bd
-            if b == a:
-                ir = d.i.component(a) @ d.r.component(a)
-                ident = Mat.identity(ring, d.C.rank_at(a))
-                return ident - ir if k % 2 == 0 else ir
-            if b > a:
-                mat = _isr(d, a, b)
-                return -mat if k % 2 == 0 else mat
-            return None
-        return _assemble(d, list(range(m - 1, n + 1)), list(range(m, n + 1)), blk)
-
-    boundaries = tuple(boundary_block(m) for m in range(1, n + 1))
-
-    I_maps = []
-    R_maps = []
-    for m in range(0, n + 1):
-        i_blocks = [[d.i.component(c) @ _s_power(d, m, c - m)]
-                    for c in range(m, n + 1)]
-        I_maps.append(Mat.block(i_blocks))
-        r_blocks = [[d.r.component(m) if a == m else
-                     Mat.zero(ring, d.A.rank_at(m), d.C.rank_at(a))
-                     for a in range(m, n + 1)]]
-        R_maps.append(Mat.block(r_blocks))
-
-    homos = []
-    for m in range(0, n):
-        def blk(b, a, m=m):
-            if b == a and a >= m + 1:
-                return Mat.identity(ring, d.C.rank_at(a))
-            return None
-        homos.append(_assemble(d, list(range(m + 1, n + 1)),
-                               list(range(m, n + 1)), blk))
-
-    inst = InstantData(d, sum(d.C.rank_at(j) for j in degs), P,
-                       boundaries, tuple(I_maps), tuple(R_maps), tuple(homos))
+    P = Mat.block([[p_block(j, k) for k in degs] for j in degs])
+    one_minus_P = Mat.identity(ring, P.rows) - P
+    # F_m is the tail of F from offset[m] on; offset[n + 1] = rank F.
+    offset = [sum(rank(j) for j in range(m)) for m in range(n + 2)]
+    F = offset[-1]
+    boundaries = tuple(
+        (P if m % 2 else one_minus_P).submatrix(range(offset[m - 1], F),
+                                                range(offset[m], F))
+        for m in range(1, n + 1))
+    I_maps = tuple(Mat.block([[blk] for blk in col]) for col in i_blocks)
+    R_maps = tuple(Mat.block([[d.r.component(m),
+                               Mat.zero(ring, d.A.rank_at(m), F - offset[m + 1])]])
+                   for m in degs)
+    homos = tuple(Mat.block([[Mat.zero(ring, F - offset[m + 1], rank(m)),
+                              Mat.identity(ring, F - offset[m + 1])]])
+                  for m in range(0, n))
+    inst = InstantData(d, F, P, boundaries, I_maps, R_maps, homos)
     _audit_instant(inst)
     return inst
 
@@ -319,16 +284,7 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
     th_oe = theta(even, odd)   # odd -> even
     th_eo = theta(odd, even)   # even -> odd
 
-    def side_idem(degs):
-        blocks = [t.idem(nn) for nn in degs]
-        if not blocks:
-            return Mat.zero(ring, 0, 0)
-        grid = [[blocks[a] if a == b else
-                 Mat.zero(ring, blocks[a].rows, blocks[b].cols)
-                 for b in range(len(blocks))] for a in range(len(blocks))]
-        return Mat.block(grid)
-
-    e_odd = side_idem(odd)
+    e_odd = Mat.diag(ring, *(t.idem(nn) for nn in odd))
     sq = th_eo @ th_oe              # = e_odd + G with G nilpotent
     g_nil = sq - e_odd
     inv = e_odd
@@ -341,23 +297,14 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
     th_inv = inv @ th_eo            # even -> odd, two-sided inverse of th_oe
 
     # Reorder odd coordinates: the special block first, then the rest.
-    offsets = {}
-    at = 0
-    for nn in odd:
-        offsets[nn] = at
-        at += t.rank_at(nn)
-    total_odd = at
-    sp_at = offsets[special_degree] + special_offset
+    total_odd = sum(t.rank_at(nn) for nn in odd)
+    sp_at = sum(t.rank_at(nn) for nn in odd if nn < special_degree) + special_offset
     sp_rank = special.ambient_rank
     new_to_old = (list(range(sp_at, sp_at + sp_rank))
                   + [x for x in range(total_odd)
                      if not sp_at <= x < sp_at + sp_rank])
-    z, o = ring.zero, ring.one
-    perm = Mat(ring, total_odd, total_odd,
-               [o if old == new_to_old[new] else z
-                for new in range(total_odd) for old in range(total_odd)])
-    iso = th_oe @ perm.transpose()
-    iso_inverse = perm @ th_inv
+    iso = th_oe.submatrix(range(th_oe.rows), new_to_old)
+    iso_inverse = th_inv.submatrix(new_to_old, range(th_inv.cols))
     a = total_odd - sp_rank
     b = sum(t.rank_at(nn) for nn in even)
     w = StableFreenessWitness(a, b, iso, iso_inverse)
@@ -472,27 +419,23 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     chk = verify_stable_freeness(p, w)
     if not chk.ok:
         raise ValueError(f"witness fails: {chk.as_dict()['violations']}")
-    m = p.ambient_rank
-    a, b = w.a, w.b
+    a = w.a
+
+    def stabilized(mat):        # mat + the identity of R^a
+        return Mat.diag(ring, mat, Mat.identity(ring, a))
+
+    def pad_rows(mat):          # a zero rows below mat
+        return Mat.diag(ring, mat, Mat.zero(ring, a, 0))
+
+    def pad_cols(mat):          # a zero columns right of mat
+        return Mat.diag(ring, mat, Mat.zero(ring, 0, a))
 
     def stabilized_module(n):
         if n == k:
-            return ProjModule.free(ring, b)
+            return ProjModule.free(ring, w.b)
         if n == k + 1:
-            e = x.idem(n)
-            return ProjModule(Mat.block([
-                [e, Mat.zero(ring, e.rows, a)],
-                [Mat.zero(ring, a, e.cols), Mat.identity(ring, a)],
-            ]) if a else e)
+            return ProjModule(stabilized(x.idem(n)))
         return x.module(n)
-
-    def pad_cols(mat, extra):
-        return (Mat.block([[mat, Mat.zero(ring, mat.rows, extra)]])
-                if extra else mat)
-
-    def pad_rows(mat, extra):
-        return (Mat.block([[mat], [Mat.zero(ring, extra, mat.cols)]])
-                if extra else mat)
 
     lo = min(x.bottom_degree, k)
     hi = max(x.top_degree, k + 1)
@@ -501,15 +444,11 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     for n in range(lo + 1, hi + 1):
         dn = x.boundary(n)
         if n == k:
-            bnds.append(pad_cols(dn, a) @ w.iso_inverse)
+            bnds.append(pad_cols(dn) @ w.iso_inverse)
         elif n == k + 1:
-            stacked = Mat.block([
-                [dn, Mat.zero(ring, dn.rows, a)],
-                [Mat.zero(ring, a, dn.cols), Mat.identity(ring, a)],
-            ]) if a else dn
-            bnds.append(w.iso @ stacked)
+            bnds.append(w.iso @ stabilized(dn))
         elif n == k + 2:
-            bnds.append(pad_rows(dn, a))
+            bnds.append(pad_rows(dn))
         else:
             bnds.append(dn)
     out = ProjComplex(ring, lo, mods, bnds)
@@ -521,14 +460,11 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     bwd = {}
     for n in range(lo, hi + 1):
         if n == k:
-            inc = Mat.block([[p.idem], [Mat.zero(ring, a, m)]]) if a else p.idem
-            fwd[n] = w.iso @ inc
-            proj = Mat.block([[p.idem, Mat.zero(ring, m, a)]]) if a else p.idem
-            bwd[n] = proj @ w.iso_inverse
+            fwd[n] = w.iso @ pad_rows(p.idem)
+            bwd[n] = pad_cols(p.idem) @ w.iso_inverse
         elif n == k + 1:
-            e = x.idem(n)
-            fwd[n] = Mat.block([[e], [Mat.zero(ring, a, e.cols)]]) if a else e
-            bwd[n] = Mat.block([[e, Mat.zero(ring, e.rows, a)]]) if a else e
+            fwd[n] = pad_rows(x.idem(n))
+            bwd[n] = pad_cols(x.idem(n))
         else:
             fwd[n] = x.idem(n)
             bwd[n] = x.idem(n)

@@ -37,12 +37,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def transpose(a: list[list[int]]) -> list[list[int]]:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 @dataclass
 class SmithNormalForm:
     """U @ M @ V == D with U, V unimodular and D a nonnegative divisor chain."""

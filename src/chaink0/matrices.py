@@ -77,6 +77,22 @@ class Mat:
                     entries.extend(b.entries[i * b.cols:(i + 1) * b.cols])
         return cls(ring, sum(rb[0].rows for rb in grid), sum(col_widths), entries)
 
+    @classmethod
+    def diag(cls, ring: Ring, *blocks) -> "Mat":
+        """The block-diagonal matrix of `blocks`; zero-size blocks pad with
+        zero rows or columns, and no blocks at all give the 0 x 0 matrix."""
+        rows, cols = sum(b.rows for b in blocks), sum(b.cols for b in blocks)
+        entries = [ring.zero] * (rows * cols)
+        top = left = 0
+        for b in blocks:
+            if b.ring != ring:
+                raise RingMismatch("blocks over different rings")
+            for i in range(b.rows):
+                at = (top + i) * cols + left
+                entries[at:at + b.cols] = b.row(i)
+            top, left = top + b.rows, left + b.cols
+        return cls(ring, rows, cols, entries)
+
     # --- access -------------------------------------------------------------
     def __getitem__(self, ij) -> RingElement:
         i, j = ij
@@ -87,6 +103,13 @@ class Mat:
 
     def column(self, j: int) -> list:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
+
+    def submatrix(self, rows, cols) -> "Mat":
+        """The entries at the given row and column indices, in that order."""
+        rows, cols = list(rows), list(cols)
+        e, w = self.entries, self.cols
+        return Mat(self.ring, len(rows), len(cols),
+                   [e[i * w + j] for i in rows for j in cols])
 
     # --- arithmetic -----------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
@@ -122,10 +145,6 @@ class Mat:
 
     def scale(self, c: RingElement) -> "Mat":
         return Mat(self.ring, self.rows, self.cols, [c * a for a in self.entries])
-
-    def transpose(self) -> "Mat":
-        return Mat(self.ring, self.cols, self.rows,
-                   [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def map_entries(self, fn, ring: Ring | None = None) -> "Mat":
         return Mat(ring or self.ring, self.rows, self.cols,

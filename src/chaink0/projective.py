@@ -118,13 +118,7 @@ def verify_stable_freeness(p: ProjModule, w: StableFreenessWitness) -> Report:
     if w.iso_inverse.rows != m + w.a or w.iso_inverse.cols != w.b:
         rep.add("witness.iso_inverse_shape")
         return rep
-    if w.a == 0 and m == 0:
-        stab = Mat.zero(ring, 0, 0)
-    else:
-        stab = Mat.block([
-            [p.idem, Mat.zero(ring, m, w.a)],
-            [Mat.zero(ring, w.a, m), Mat.identity(ring, w.a)],
-        ]) if w.a else p.idem
+    stab = Mat.diag(ring, p.idem, Mat.identity(ring, w.a))
     if (w.iso @ w.iso_inverse) != Mat.identity(ring, w.b):
         rep.add("witness.not_right_inverse")
     if (w.iso_inverse @ w.iso) != stab:
@@ -161,12 +155,7 @@ class ObstructionReport:
 
 def sigma_module(sigma: K0Class) -> ProjModule:
     """Block direct sum of the plus-side idempotents of a normalized class."""
-    mats = [m.idem for m in sigma.plus if m.ambient_rank]
-    if not mats:
-        return ProjModule(Mat.zero(sigma.ring, 0, 0))
-    grid = [[mats[i] if i == j else Mat.zero(sigma.ring, mats[i].rows, mats[j].cols)
-             for j in range(len(mats))] for i in range(len(mats))]
-    return ProjModule(Mat.block(grid))
+    return ProjModule(Mat.diag(sigma.ring, *(m.idem for m in sigma.plus)))
 
 
 def split_k0(c: K0Class) -> ObstructionReport:

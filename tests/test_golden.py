@@ -46,7 +46,8 @@ INVALID = {
 }
 
 
-def _workloads():
+def load_workloads():
+    """bench/workloads.py, loaded by path since bench/ is not a package."""
     path = ROOT / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     mod = importlib.util.module_from_spec(spec)
@@ -56,14 +57,14 @@ def _workloads():
 
 
 def _fixture_commands() -> list:
-    return _workloads().fixture_commands(0)
+    return load_workloads().fixture_commands(0)
 
 
 def nontrivial_literal(ring_name: str) -> dict:
     """NONTRIVIAL_COUNT dominations with s != 0, seeded by the ring name."""
     ring = {"integers": ZZ, "c2": C2}[ring_name]
     rng = random.Random(f"golden:{ring_name}")
-    build = _workloads().nontrivial_domination
+    build = load_workloads().nontrivial_domination
     ws = Workspace(ring, {})
     for k in range(NONTRIVIAL_COUNT):
         d = build(rng, ring)

@@ -1,10 +1,12 @@
 """The instant-obstruction construction, trimming, and free replacement."""
+import random
+
 import pytest
 
 from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                                homology, validate_complex, verify_chain_map,
                                verify_homotopy)
-from chaink0.corpus import corpus_dominations
+from chaink0.corpus import corpus_dominations, random_domination
 from chaink0.instant import (Domination, TrimPreconditionError, build_instant,
                              finite_projective_reduction,
                              finiteness_obstruction, free_replacement,
@@ -14,7 +16,8 @@ from chaink0.instant import (Domination, TrimPreconditionError, build_instant,
 from chaink0.matrices import Mat
 from chaink0.projective import (quadratic_class_oracle, rank,
                                 verify_stable_freeness)
-from chaink0.rings import ZZ, QuadraticRing
+from chaink0.rings import C2, ZZ, QuadraticRing
+from test_golden import load_workloads
 
 Q5 = QuadraticRing(-5)
 
@@ -112,6 +115,18 @@ def test_corpus_identities_and_homology():
                                    j.compose(u)).ok
             assert verify_homotopy(dom.s, ChainMap.identity(dom.A),
                                    u.compose(j)).ok
+
+
+@pytest.mark.parametrize("ring", [ZZ, C2], ids=["integers", "c2"])
+@pytest.mark.parametrize("seed", range(10))
+def test_nonzero_homotopy_keeps_class_and_homology(seed, ring):
+    """A + cone(1_B), where s != 0 and r i != 1, against A from the same draw."""
+    d = random_domination(random.Random(seed), ring)
+    d2 = load_workloads().nontrivial_domination(random.Random(seed), ring)
+    rep, rep2 = finiteness_obstruction(d), finiteness_obstruction(d2)
+    assert ((rep2.chi, rep2.sigma_is_witnessed_zero)
+            == (rep.chi, rep.sigma_is_witnessed_zero))
+    assert homology(finite_projective_reduction(build_instant(d2))) == homology(d.A)
 
 
 def test_obstruction_vanishes_on_free_corpus():
