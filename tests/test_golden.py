@@ -8,6 +8,7 @@ records the cases that golden.json lacks.  It never rewrites an entry: an
 entry changes only by editing golden.json by hand.
 """
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -46,6 +47,7 @@ INVALID = {
 }
 
 
+@functools.cache
 def load_workloads():
     """bench/workloads.py, loaded by path since bench/ is not a package."""
     path = ROOT / "bench" / "workloads.py"
