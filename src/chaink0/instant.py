@@ -120,8 +120,8 @@ def build_instant(d: Domination) -> InstantData:
 
     def p_block(j, k):
         if k < j:
-            m = i_blocks[k][j - k] @ d.r.component(k)
-            return m if k % 2 == 0 else -m
+            isr = i_blocks[k][j - k] @ d.r.component(k)
+            return isr if k % 2 == 0 else -isr
         if k == j:
             ir = d.i.component(j) @ d.r.component(j)
             return ir if j % 2 == 0 else Mat.identity(ring, rank(j)) - ir
