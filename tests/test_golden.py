@@ -22,6 +22,7 @@ import tempfile
 import pytest
 
 from chaink0.cli import main
+from chaink0.complexes import ProjModule
 from chaink0.corpus import generate_corpus
 from chaink0.documents import Workspace, canonical_json, workspace_literal
 from chaink0.rings import C2, ZZ
@@ -30,8 +31,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 CORPUS_RINGS = ("integers", "c2")
 CORPUS_COUNT = 8
+RINGS = {"integers": ZZ, "c2": C2}
 # Dominations A + cone(1_B) with s != 0 and r i != 1, per ring.
 NONTRIVIAL_COUNT = 6
+# laurent-resolve windows on the identity and the two conjugates of diag(1, 0).
+LAURENT_WINDOWS = (1, 2, 8, 24)
 
 # Z, A = C = Z in degree 0, i = 1, r = 0, s = 0: the homotopy 1 - ri = 1
 # is not witnessed, so the domination is invalid.
@@ -64,7 +68,7 @@ def _fixture_commands() -> list:
 
 def nontrivial_literal(ring_name: str) -> dict:
     """NONTRIVIAL_COUNT dominations with s != 0, seeded by the ring name."""
-    ring = {"integers": ZZ, "c2": C2}[ring_name]
+    ring = RINGS[ring_name]
     rng = random.Random(f"golden:{ring_name}")
     build = load_workloads().nontrivial_domination
     ws = Workspace(ring, {})
@@ -77,12 +81,27 @@ def nontrivial_literal(ring_name: str) -> dict:
     return workspace_literal(ws)
 
 
+def laurent_literal(ring_name: str) -> dict:
+    """The modules of the laurent_windows workload: p1 = the 1 x 1 identity
+    and q0, q1 = conjugates of diag(1, 0) drawn from the workload's seeds."""
+    ring = RINGS[ring_name]
+    draw = load_workloads().random_idempotent
+    ws = Workspace(ring, {})
+    ws.modules["p1"] = ProjModule.free(ring, 1)
+    for j in (0, 1):
+        ws.modules[f"q{j}"] = ProjModule(draw(
+            random.Random(f"idempotent:{ring_name}:{j}"), ring))
+    return workspace_literal(ws)
+
+
 def write_documents(docs: pathlib.Path) -> None:
     for ring in CORPUS_RINGS:
         text = canonical_json(generate_corpus(0, CORPUS_COUNT, ring))
         (docs / f"corpus-{ring}.json").write_text(text, encoding="utf-8")
         text = canonical_json(nontrivial_literal(ring))
         (docs / f"nontrivial-{ring}.json").write_text(text, encoding="utf-8")
+        text = canonical_json(laurent_literal(ring))
+        (docs / f"laurent-{ring}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
 
 
@@ -116,6 +135,13 @@ def cases(docs: pathlib.Path) -> dict:
                     cmd, "--input", doc, "--name", f"dom{k}"]
         out[f"{cmd} invalid dom"] = [
             cmd, "--input", str(docs / "invalid.json"), "--name", "dom"]
+    for ring in CORPUS_RINGS:
+        doc = str(docs / f"laurent-{ring}.json")
+        for name in ("p1", "q0", "q1"):
+            for w in LAURENT_WINDOWS:
+                out[f"laurent-resolve laurent-{ring} {name} --window {w}"] = [
+                    "laurent-resolve", "--input", doc, "--name", name,
+                    "--window", str(w)]
     return out
 
 
