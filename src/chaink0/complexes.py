@@ -48,13 +48,6 @@ class ProjModule:
             rep.add("module.not_idempotent")
         return rep
 
-    def lattice_rank(self) -> int:
-        """Z-rank of the image of the flattened idempotent."""
-        if self.ring.flat_rank is None:
-            raise UnsupportedRing("no finite lattice over this ring")
-        return intlinalg.smith_normal_form(
-            self.idem.flatten(), self.ambient_rank * self.ring.flat_rank).rank
-
     def image_lattice_basis(self) -> list[list[int]]:
         """Columns forming a Z-basis of the flattened image lattice."""
         if self.ring.flat_rank is None:

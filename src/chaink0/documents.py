@@ -196,9 +196,12 @@ def parse_workspace(text: str) -> Workspace:
         except (ShapeError, RingMismatch) as ex:
             raise DocumentError(f"homotopy {name!r}: {ex}") from ex
     for name, lit in _table(raw, "witnesses"):
+        a, b = _expect(lit, "a", int), _expect(lit, "b", int)
+        if any(isinstance(v, bool) or v < 0 for v in (a, b)):
+            raise DocumentError(f"witness {name!r}: a and b must be "
+                                "non-negative integers")
         ws.witnesses[name] = StableFreenessWitness(
-            _expect(lit, "a", int), _expect(lit, "b", int),
-            parse_matrix(_expect(lit, "iso"), ring),
+            a, b, parse_matrix(_expect(lit, "iso"), ring),
             parse_matrix(_expect(lit, "iso_inverse"), ring))
     for name, lit in _table(raw, "dominations"):
         ws.dominations[name] = Domination(

@@ -119,6 +119,22 @@ def test_table_not_an_object_exit_1(tmp_path, capsys, table):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, value", [("a", -1), ("b", -1), ("a", True)])
+def test_witness_count_not_natural_exit_1(tmp_path, capsys, field, value):
+    one = {"rows": 1, "cols": 1, "entries": ["1"]}
+    witness = {"a": 0, "b": 0, "iso": one, "iso_inverse": one, field: value}
+    point = {"bottom_degree": 0, "boundaries": [],
+             "modules": [{"ambient_rank": 1, "idempotent": "free"}]}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"ring": {"kind": "integers"},
+                               "complexes": {"X": point},
+                               "witnesses": {"w": witness}}))
+    code, out, err = run(capsys, "free-replace", "--input", str(doc),
+                         "--name", "X", "--witness", "w")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unresolved_name_exit_1(capsys):
     code, _, err = run(capsys, "verify", "--input", str(FIXTURES / "rp2.json"),
                        "--name", "ghost")

@@ -1,4 +1,6 @@
 """Laurent resolution windows, swindle prefixes, mapping tori, realization."""
+import random
+
 import pytest
 
 from chaink0 import intlinalg
@@ -37,13 +39,61 @@ def test_window_check_zero_idempotent():
     assert chk.ok and chk.cokernel_rank == 0
 
 
+def conjugated_idempotent(rng, ring, m):
+    """g d g^-1 for a random 0/1 diagonal d and g a product of four
+    elementary matrices with coefficients in [-2, 2]."""
+    def matrix(entry):
+        return Mat(ring, m, m, [entry(r, c) for r in range(m) for c in range(m)])
+
+    g = g_inv = Mat.identity(ring, m)
+    for _ in range(4):
+        i, j = rng.sample(range(m), 2)
+        a = ring.from_coords([rng.randint(-2, 2) for _ in range(ring.flat_rank)])
+        up = matrix(lambda r, c: ring.one if r == c else
+                    (a if (r, c) == (i, j) else ring.zero))
+        down = matrix(lambda r, c: ring.one if r == c else
+                      (-a if (r, c) == (i, j) else ring.zero))
+        g, g_inv = g @ up, down @ g_inv
+    d = [rng.randint(0, 1) for _ in range(m)]
+    return g @ matrix(lambda r, c: ring.from_int(d[r] if r == c else 0)) @ g_inv
+
+
 def test_window_check_various_windows():
-    for p in (split_line(), c2_half()):
-        for n in (2, 4, 8):
+    # the certificate's rank is the trace; SNF of the flattening is the reference
+    modules = [split_line(), c2_half()]
+    for ring in (ZZ, C2):
+        rng = random.Random(f"window:{ring.kind}")
+        modules += [ProjModule(conjugated_idempotent(rng, ring, m))
+                    for m in (2, 2, 2, 3, 3, 3)]
+    for p in modules:
+        for n in (1, 2, 3, 4, 5, 6, 8):
             chk = laurent_window_check(p, n)
-            assert chk.ok, chk.as_dict()
+            assert chk.ok and not chk.details, chk.as_dict()
             assert chk.cokernel_rank == len(
                 intlinalg.image_basis(p.idem.flatten()))
+
+
+@pytest.mark.parametrize("rows", [[[2]], [[1, 1], [0, 1]]])
+def test_window_certificate_rejects_non_idempotent(rows):
+    p = ProjModule(Mat.from_rows(ZZ, rows))
+    for n in (1, 3):
+        chk = laurent_window_check(p, n)
+        assert not chk.ok
+        assert "e is not idempotent" in chk.details
+        assert len(chk.details) > 1, chk.as_dict()
+
+
+def test_window_check_runs_no_smith_normal_form(monkeypatch):
+    p = ProjModule(conjugated_idempotent(random.Random("no-snf"), C2, 2))
+    snf_rank = len(intlinalg.image_basis(p.idem.flatten()))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the window check computed a Smith normal form")
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", forbidden)
+    monkeypatch.setattr(intlinalg, "IntegerSolver", forbidden)
+    chk = laurent_window_check(p, 8)
+    assert chk.ok and chk.cokernel_rank == snf_rank > 0
 
 
 def test_laurent_resolution_shape():
