@@ -48,12 +48,6 @@ class ProjModule:
             rep.add("module.not_idempotent")
         return rep
 
-    def image_lattice_basis(self) -> list[list[int]]:
-        """Columns forming a Z-basis of the flattened image lattice."""
-        if self.ring.flat_rank is None:
-            raise UnsupportedRing("no finite lattice over this ring")
-        return intlinalg.image_basis(self.idem.flatten())
-
     def __eq__(self, other):
         if not isinstance(other, ProjModule):
             return NotImplemented
@@ -335,75 +329,35 @@ class HomologyResult:
         return "HomologyResult(" + ", ".join(parts) + ")"
 
 
-def _lattice_boundaries(x: ProjComplex) -> tuple[dict, dict]:
-    """Flattened boundary matrices expressed in image-lattice bases.
-
-    Returns ({degree: Z-rank of the degree-n lattice},
-             {degree: integer matrix of d_n in those bases}).
-    """
-    if x.ring.flat_rank is None:
-        raise UnsupportedRing(f"homology over {x.ring.kind} is unsupported")
-    bases = {}
-    ranks = {}
-    solvers = {}
-    for n in x.degrees():
-        mod = x.module(n)
-        cols = mod.image_lattice_basis()
-        ranks[n] = len(cols)
-        m = intlinalg.columns_to_matrix(cols, mod.ambient_rank * x.ring.flat_rank)
-        bases[n] = m
-        solvers[n] = intlinalg.IntegerSolver(m, len(cols))
-    mats = {}
-    for n in x.degrees():
-        if n - 1 not in ranks:
-            continue
-        flat = x.boundary(n).flatten()
-        cols = []
-        for j in range(ranks[n]):
-            col = [bases[n][i][j] for i in range(len(bases[n]))]
-            img = [sum(flat[i][k] * col[k] for k in range(len(col)))
-                   for i in range(len(flat))]
-            sol = solvers[n - 1].solve(img)
-            if sol is None:
-                raise ArithmeticError("boundary leaves the image lattice")
-            cols.append(sol)
-        mats[n] = intlinalg.columns_to_matrix(cols, ranks[n - 1])
-    return ranks, mats
-
-
 def homology(x: ProjComplex) -> HomologyResult:
     """Homology of the underlying integer lattice, inside idempotent images.
 
+    With e_n and d_n flattened to integer matrices, the ambient free complex
+    is the lattice complex plus the free lattices im(1 - e_n) with zero
+    boundary: d_n = d_n e_n puts im(1 - e_n) inside ker d_n, and im d_{n+1}
+    lies in im e_n.  So H_n has betti = trace(e_n) - rank d_n - rank d_{n+1}
+    and torsion = the invariant factors > 1 of d_{n+1}.  That is one Smith
+    normal form per boundary, read for its diagonal only, and none per module.
+
     Raises VerificationFailed, with validate_complex's report, on an
-    invalid complex.
+    invalid complex, and then UnsupportedRing over a Laurent ring.
     """
     rep = validate_complex(x)
     if not rep.ok:
         raise VerificationFailed("invalid complex", rep)
-    ranks, mats = _lattice_boundaries(x)
+    k = x.ring.flat_rank
+    if k is None:
+        raise UnsupportedRing(f"homology over {x.ring.kind} is unsupported")
+    ranks, torsion = {}, {}
+    for n, d in zip(x.degrees()[1:], x.boundaries):
+        diag = intlinalg.smith_normal_form(d.flatten(), d.cols * k).diagonal()
+        ranks[n] = sum(1 for a in diag if a)
+        torsion[n] = tuple(a for a in diag if a > 1)
     out = {}
     for n in x.degrees():
-        r = ranks[n]
-        d_out = mats.get(n)
-        if d_out is None:
-            kern = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-            kern = intlinalg.matrix_columns(kern)
-        else:
-            kern = intlinalg.IntegerSolver(d_out, r).kernel_basis()
-        z = len(kern)
-        d_in = mats.get(n + 1)
-        if d_in is None or not z:
-            out[n] = (z, ())
-            continue
-        kmat = intlinalg.columns_to_matrix(kern, r)
-        ksolve = intlinalg.IntegerSolver(kmat, z)
-        img_cols = []
-        for col in intlinalg.matrix_columns(d_in):
-            y = ksolve.solve(col)
-            if y is None:
-                raise ArithmeticError("image does not land in the kernel")
-            img_cols.append(y)
-        out[n] = intlinalg.quotient_invariants(z, img_cols)
+        e = x.idem(n).flatten()
+        trace = sum(e[i][i] for i in range(len(e)))
+        out[n] = (trace - ranks.get(n, 0) - ranks.get(n + 1, 0), torsion.get(n + 1, ()))
     return HomologyResult.from_dict(out)
 
 

@@ -76,14 +76,23 @@ def _expect(lit, key, kind=None):
     if not isinstance(lit, dict) or key not in lit:
         raise DocumentError(f"missing field {key!r}")
     v = lit[key]
-    if kind is not None and not isinstance(v, kind):
+    if kind is not None and (not isinstance(v, kind)
+                             or kind is int and isinstance(v, bool)):
         raise DocumentError(f"field {key!r} has the wrong type")
     return v
 
 
+def _count(lit, key) -> int:
+    """A non-negative integer field: a rank, a matrix size or a witness count."""
+    v = _expect(lit, key, int)
+    if v < 0:
+        raise DocumentError(f"field {key!r} must be a non-negative integer")
+    return v
+
+
 def parse_matrix(lit, ring: Ring) -> Mat:
-    rows = _expect(lit, "rows", int)
-    cols = _expect(lit, "cols", int)
+    rows = _count(lit, "rows")
+    cols = _count(lit, "cols")
     entries = _expect(lit, "entries", list)
     if len(entries) != rows * cols:
         raise DocumentError(f"matrix needs {rows * cols} entries, got {len(entries)}")
@@ -95,7 +104,7 @@ def parse_matrix(lit, ring: Ring) -> Mat:
 
 
 def parse_module(lit, ring: Ring) -> ProjModule:
-    rank = _expect(lit, "ambient_rank", int)
+    rank = _count(lit, "ambient_rank")
     idem = _expect(lit, "idempotent")
     if idem == "free":
         return ProjModule.free(ring, rank)
@@ -196,12 +205,9 @@ def parse_workspace(text: str) -> Workspace:
         except (ShapeError, RingMismatch) as ex:
             raise DocumentError(f"homotopy {name!r}: {ex}") from ex
     for name, lit in _table(raw, "witnesses"):
-        a, b = _expect(lit, "a", int), _expect(lit, "b", int)
-        if any(isinstance(v, bool) or v < 0 for v in (a, b)):
-            raise DocumentError(f"witness {name!r}: a and b must be "
-                                "non-negative integers")
         ws.witnesses[name] = StableFreenessWitness(
-            a, b, parse_matrix(_expect(lit, "iso"), ring),
+            _count(lit, "a"), _count(lit, "b"),
+            parse_matrix(_expect(lit, "iso"), ring),
             parse_matrix(_expect(lit, "iso_inverse"), ring))
     for name, lit in _table(raw, "dominations"):
         ws.dominations[name] = Domination(

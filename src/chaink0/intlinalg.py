@@ -237,20 +237,3 @@ def columns_to_matrix(cols: list[list[int]], rows: int) -> list[list[int]]:
         for i in range(rows):
             out[i][j] = c[i]
     return out
-
-
-def matrix_columns(m: list[list[int]]) -> list[list[int]]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
-
-
-def quotient_invariants(ambient_basis_rank: int, sub_cols: list[list[int]]
-                        ) -> tuple[int, tuple[int, ...]]:
-    """Betti rank and torsion chain of Z^n / <columns>, columns in Z^n coords."""
-    m = columns_to_matrix(sub_cols, ambient_basis_rank)
-    s = smith_normal_form(m)
-    diag = [x for x in s.diagonal() if x != 0]
-    betti = ambient_basis_rank - len(diag)
-    torsion = tuple(x for x in diag if x > 1)
-    return betti, torsion

@@ -108,7 +108,14 @@ class StableFreenessWitness:
 
 
 def verify_stable_freeness(p: ProjModule, w: StableFreenessWitness) -> Report:
-    """Check the two-sided inverse identities of the witness exactly."""
+    """Check the two-sided inverse identities of the witness exactly.
+
+    With stab = diag(e, 1_a), iso iso_inverse = 1_b and iso_inverse iso =
+    stab are checked; they imply iso stab = iso and stab iso_inverse =
+    iso_inverse by associativity: iso stab = iso (iso_inverse iso) =
+    (iso iso_inverse) iso = iso, and likewise stab iso_inverse =
+    iso_inverse (iso iso_inverse) = iso_inverse.
+    """
     rep = Report()
     ring = p.ring
     m = p.ambient_rank
@@ -123,10 +130,6 @@ def verify_stable_freeness(p: ProjModule, w: StableFreenessWitness) -> Report:
         rep.add("witness.not_right_inverse")
     if (w.iso_inverse @ w.iso) != stab:
         rep.add("witness.not_left_inverse")
-    if (w.iso @ stab) != w.iso:
-        rep.add("witness.iso_ignores_summand")
-    if (stab @ w.iso_inverse) != w.iso_inverse:
-        rep.add("witness.inverse_escapes_summand")
     return rep
 
 
@@ -214,7 +217,7 @@ def ideal_of_module(p: ProjModule) -> IdealLattice:
         raise UnsupportedRing("ideal extraction needs a quadratic ring")
     if rank(p) != 1:
         raise UnsupportedRing("ideal extraction needs a rank-one module")
-    cols = p.image_lattice_basis()
+    cols = intlinalg.image_basis(p.idem.flatten())
     if len(cols) != 2:
         raise ArithmeticError("rank-one module with lattice rank != 2")
     for i in range(p.ambient_rank):

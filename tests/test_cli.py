@@ -135,6 +135,34 @@ def test_witness_count_not_natural_exit_1(tmp_path, capsys, field, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+FREE_LINE = {"ambient_rank": 1, "idempotent": "free"}
+
+
+@pytest.mark.parametrize("field, module, bottom", [
+    ("ambient_rank", {"ambient_rank": True, "idempotent": "free"}, 0),
+    ("ambient_rank", {"ambient_rank": -1, "idempotent": "free"}, 0),
+    ("rows", {"ambient_rank": 1, "idempotent":
+              {"rows": True, "cols": 1, "entries": ["1"]}}, 0),
+    ("cols", {"ambient_rank": 1, "idempotent":
+              {"rows": 1, "cols": True, "entries": ["1"]}}, 0),
+    ("rows", {"ambient_rank": 1, "idempotent":
+              {"rows": -1, "cols": -1, "entries": ["1"]}}, 0),
+    ("bottom_degree", FREE_LINE, True),
+], ids=["rank-true", "rank-negative", "rows-true", "cols-true",
+        "rows-cols-negative", "bottom-true"])
+def test_count_field_not_natural_exit_1(tmp_path, capsys, field, module, bottom):
+    point = {"bottom_degree": bottom, "boundaries": [], "modules": [FREE_LINE]}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"ring": {"kind": "integers"},
+                               "modules": {"p": module},
+                               "complexes": {"X": point}}))
+    code, out, err = run(capsys, "laurent-resolve", "--input", str(doc),
+                         "--name", "p")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(field) in err
+
+
 def test_unresolved_name_exit_1(capsys):
     code, _, err = run(capsys, "verify", "--input", str(FIXTURES / "rp2.json"),
                        "--name", "ghost")

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from chaink0 import intlinalg
 from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                                direct_sum, homology, mapping_cone, shift,
                                tensor_with_laurent, validate_complex,
                                verify_chain_map, verify_homotopy)
+from chaink0.constructions import swindle_prefix
 from chaink0.corpus import random_free_complex
 from chaink0.matrices import Mat
 from chaink0.rings import C2, ZZ, QuadraticRing, UnsupportedRing
@@ -77,6 +79,62 @@ def test_homology_inside_idempotent_image():
                            [Q5.from_coords([1, -1]), Q5.from_coords([3, 0])]])
     x = ProjComplex(Q5, 0, [ProjModule(e)], [])
     assert homology(x).at(0) == (2, ())  # ideal lattice has Z-rank two
+
+
+def _split_line(ring):
+    """[[1, x], [0, 0]]: an idempotent other than 1 whose image is a line in R^2."""
+    x = ring.from_coords([0, 1]) if ring is C2 else ring.from_int(1)
+    return Mat.from_rows(ring, [[ring.one, x], [ring.zero, ring.zero]])
+
+
+@pytest.mark.parametrize("ring", [ZZ, C2], ids=["integers", "c2"])
+def test_homology_counts_the_trace_of_the_idempotent(ring):
+    # The ambient R^2 has Z-rank 2k; the summand has Z-rank k = trace(e).
+    e = _split_line(ring)
+    k = ring.flat_rank
+    alone = ProjComplex(ring, 0, [ProjModule(e)], [])
+    assert homology(alone).at(0) == (k, ())
+    two = e.scale(ring.from_int(2))
+    x = ProjComplex(ring, 0, [ProjModule(e)] * 2, [two])
+    assert homology(x).at(0) == (0, (2,) * k) and homology(x).at(1) == (0, ())
+    zero = ProjComplex(ring, 0, [ProjModule(e)] * 2, [Mat.zero(ring, 2, 2)])
+    assert homology(zero).at(0) == (k, ()) and homology(zero).at(1) == (k, ())
+
+
+def test_homology_inside_a_c2_summand_with_norm_boundary():
+    # d = (1 + g) e: on Z[C2] multiplication by 1 + g has rank 1 and a
+    # torsion-free cokernel, so H0 = Z and H1 = Z (spanned by (1 - g) e).
+    e = _split_line(C2)
+    d = e.scale(C2.from_coords([1, 1]))
+    x = ProjComplex(C2, 3, [ProjModule(e)] * 2, [d])
+    assert homology(x).at(3) == (1, ()) and homology(x).at(4) == (1, ())
+
+
+def _count_snf(monkeypatch):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    return calls
+
+
+def test_homology_runs_one_smith_normal_form_per_boundary(monkeypatch):
+    rng = random.Random(12)
+    dense = Mat.from_rows(ZZ, [[rng.randint(-9, 9) for _ in range(12)]
+                               for _ in range(12)])
+    rank = intlinalg.smith_normal_form(dense.flatten()).rank
+    swindle = swindle_prefix(ProjModule(_split_line(C2)), 5)
+    calls = _count_snf(monkeypatch)
+    h = homology(ProjComplex.free_complex(ZZ, 0, [12, 12], [dense]))
+    assert len(calls) == 1
+    assert h.betti(0) == h.betti(1) == 12 - rank
+    del calls[:]
+    h = homology(swindle)
+    assert len(calls) == len(swindle.boundaries) == 5
+    assert h.at(0) == (2, ()) and h.at(1) == (0, ())
 
 
 def test_homology_rejects_laurent():

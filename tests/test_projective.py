@@ -112,6 +112,62 @@ def test_verify_stable_freeness():
     assert not verify_stable_freeness(p, fake).ok
 
 
+def _four_identity_ok(p, w):
+    """The former predicate: both inverse identities plus the two implied ones."""
+    ring, m = p.ring, p.ambient_rank
+    if (w.iso.rows, w.iso.cols) != (w.b, m + w.a):
+        return False
+    if (w.iso_inverse.rows, w.iso_inverse.cols) != (m + w.a, w.b):
+        return False
+    stab = Mat.diag(ring, p.idem, Mat.identity(ring, w.a))
+    return (w.iso @ w.iso_inverse == Mat.identity(ring, w.b)
+            and w.iso_inverse @ w.iso == stab
+            and w.iso @ stab == w.iso
+            and stab @ w.iso_inverse == w.iso_inverse)
+
+
+def _perturbed_witnesses(rng, ring):
+    """Valid witnesses of P + R = R^2, P = im([[1, x], [0, 0]]), and
+    perturbations that keep one, both or neither inverse identity."""
+    x = ring.from_coords([rng.randint(-2, 2) for _ in range(ring.flat_rank)])
+    o, z = ring.one, ring.zero
+    p = ProjModule(Mat.from_rows(ring, [[o, x], [z, z]]))
+    iso = Mat.from_rows(ring, [[o, x, z], [z, z, o]])
+    inv = Mat.from_rows(ring, [[o, z], [z, z], [z, o]])
+    stab = Mat.diag(ring, p.idem, Mat.identity(ring, 1))
+    off = Mat.identity(ring, 3) - stab
+
+    def rand(rows, cols):
+        return Mat(ring, rows, cols, [
+            ring.from_coords([rng.randint(-1, 1) for _ in range(ring.flat_rank)])
+            for _ in range(rows * cols)])
+
+    for _ in range(40):
+        g = Mat.from_rows(ring, [[o, rand(1, 1)[0, 0]], [z, o]])
+        g_inv = Mat.from_rows(ring, [[o, -g[0, 1]], [z, o]])
+        a, b = g @ iso, inv @ g_inv
+        kind = rng.randrange(5)
+        if kind == 1:
+            a = a + rand(2, 3)
+        elif kind == 2:
+            b = b + rand(3, 2)
+        elif kind == 3:
+            a = a + rand(2, 3) @ off  # keeps a b = 1 only
+        elif kind == 4:
+            b = b + off @ rand(3, 2)  # keeps a b = 1 only
+        yield p, StableFreenessWitness(1, 2, a, b)
+
+
+@pytest.mark.parametrize("ring", [ZZ, C2], ids=["integers", "c2"])
+def test_two_inverse_identities_decide_like_four(ring):
+    verdicts = []
+    for p, w in _perturbed_witnesses(random.Random(f"witness:{ring.kind}"), ring):
+        ok = verify_stable_freeness(p, w).ok
+        assert ok == _four_identity_ok(p, w)
+        verdicts.append(ok)
+    assert True in verdicts and False in verdicts
+
+
 def test_oracle_on_the_ring_itself():
     v = quadratic_class_oracle(ProjModule.free(Q5, 1))
     assert v.is_principal
