@@ -22,8 +22,8 @@ import tempfile
 import pytest
 
 from chaink0.cli import main
-from chaink0.complexes import ProjModule
-from chaink0.corpus import generate_corpus
+from chaink0.complexes import ChainMap, ProjModule, mapping_cone
+from chaink0.corpus import generate_corpus, random_free_complex
 from chaink0.documents import Workspace, canonical_json, workspace_literal
 from chaink0.rings import C2, ZZ
 
@@ -36,6 +36,8 @@ RINGS = {"integers": ZZ, "c2": C2}
 NONTRIVIAL_COUNT = 6
 # laurent-resolve windows on the identity and the two conjugates of diag(1, 0).
 LAURENT_WINDOWS = (1, 2, 8, 24)
+# Cones of the identity of seeded free complexes, trimmed per ring.
+CONE_COUNT = 6
 
 # Z, A = C = Z in degree 0, i = 1, r = 0, s = 0: the homotopy 1 - ri = 1
 # is not witnessed, so the domination is invalid.
@@ -94,6 +96,22 @@ def laurent_literal(ring_name: str) -> dict:
     return workspace_literal(ws)
 
 
+@functools.cache
+def identity_cones(ring_name: str) -> tuple:
+    """CONE_COUNT acyclic complexes cone(1_B), seeded by the ring name."""
+    ring = RINGS[ring_name]
+    rng = random.Random(f"cones:{ring_name}")
+    return tuple(mapping_cone(ChainMap.identity(random_free_complex(rng, ring)))
+                 for _ in range(CONE_COUNT))
+
+
+def cone_literal(ring_name: str) -> dict:
+    ws = Workspace(RINGS[ring_name], {})
+    for k, x in enumerate(identity_cones(ring_name)):
+        ws.complexes[f"X{k}"] = x
+    return workspace_literal(ws)
+
+
 def write_documents(docs: pathlib.Path) -> None:
     for ring in CORPUS_RINGS:
         text = canonical_json(generate_corpus(0, CORPUS_COUNT, ring))
@@ -102,6 +120,8 @@ def write_documents(docs: pathlib.Path) -> None:
         (docs / f"nontrivial-{ring}.json").write_text(text, encoding="utf-8")
         text = canonical_json(laurent_literal(ring))
         (docs / f"laurent-{ring}.json").write_text(text, encoding="utf-8")
+        text = canonical_json(cone_literal(ring))
+        (docs / f"cones-{ring}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
 
 
@@ -142,6 +162,12 @@ def cases(docs: pathlib.Path) -> dict:
                 out[f"laurent-resolve laurent-{ring} {name} --window {w}"] = [
                     "laurent-resolve", "--input", doc, "--name", name,
                     "--window", str(w)]
+        doc = str(docs / f"cones-{ring}.json")
+        for k, x in enumerate(identity_cones(ring)):
+            for below in sorted({x.bottom_degree, x.top_degree - 1}):
+                out[f"trim cones-{ring} X{k} --below {below}"] = [
+                    "trim", "--input", doc, "--name", f"X{k}",
+                    "--below", str(below)]
     return out
 
 
