@@ -26,7 +26,7 @@ from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                         verify_chain_map, verify_homotopy)
 from .matrices import Mat, MatrixSolver
 from .projective import (ObstructionReport, StableFreenessWitness, k0_class_of_complex,
-                         split_k0, verify_stable_freeness)
+                         sigma_module, split_k0, verify_stable_freeness)
 from .verdicts import Report, VerificationFailed
 
 
@@ -222,29 +222,27 @@ def reduction_comparison_maps(inst: InstantData) -> tuple[ChainMap, ChainMap, Ho
     return u, j, h
 
 
-def _contraction(t: ProjComplex) -> dict:
-    """A chain contraction of an acyclic complex: d G + G d = idempotents.
+def _peel(x: ProjComplex, k: int):
+    """Split off the bottom degrees <= k of x, one at a time.
 
-    Found degree by degree through exact linear solving; raises when the
-    complex is not contractible over the ring.
+    At the bottom degree j, solve d_(j+1) sigma = e_j, sandwich sigma as
+    e_(j+1) sigma e_j, and replace degree j + 1 by the complementary summand
+    e_(j+1) - sigma d_(j+1).  Yields (j, sigma, rest) after each step, rest
+    being the complex from degree j + 1 on; stops when one module is left.
+    Raises ArithmeticError when some d_(j+1) does not split.
     """
-    gamma: dict = {}
-    lo, hi = t.bottom_degree, t.top_degree
-    for j in range(lo, hi):
-        e_j = t.idem(j)
-        rhs = e_j
-        if j - 1 in gamma:
-            rhs = e_j - gamma[j - 1] @ t.boundary(j)
-        solver = MatrixSolver(t.boundary(j + 1))
-        g = solver.solve_matrix(rhs)
-        if g is None:
-            raise ArithmeticError(f"no contraction at degree {j}: complex not acyclic")
-        gamma[j] = t.idem(j + 1) @ g @ e_j
-    # Top-degree identity holds automatically for an acyclic complex; check.
-    top_lhs = (gamma[hi - 1] @ t.boundary(hi)) if hi - 1 in gamma else t.idem(hi)
-    if hi - 1 in gamma and top_lhs != t.idem(hi):
-        raise ArithmeticError("contraction fails at the top degree")
-    return gamma
+    cur = x
+    while cur.bottom_degree <= k and len(cur.modules) != 1:
+        j = cur.bottom_degree
+        e_j = cur.idem(j)
+        d_next = cur.boundary(j + 1)
+        sigma = MatrixSolver(d_next).solve_matrix(e_j)
+        if sigma is None:
+            raise ArithmeticError(f"bottom splitting unsolvable at degree {j}")
+        sigma = cur.idem(j + 1) @ sigma @ e_j
+        mods = [ProjModule(cur.idem(j + 1) - sigma @ d_next)] + list(cur.modules[2:])
+        cur = ProjComplex(cur.ring, j + 1, mods, cur.boundaries[1:])
+        yield j, sigma, cur
 
 
 def _witness_from_acyclic(t: ProjComplex, special_degree: int,
@@ -252,62 +250,44 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
                           ) -> StableFreenessWitness:
     """Stable-freeness witness for the unique non-free module of an acyclic t.
 
-    The module sits at degrees of one parity; d + Gamma is an isomorphism
-    between the odd and even parts, and reordering its coordinates so the
-    special module comes first yields the witness shape.
+    The splittings sigma_j of _peel(t, top - 1) make theta = d + sigma its
+    own inverse.  d_(j+1) sigma_j = e~_j, the idempotent left at degree j,
+    and sigma_j = sigma_j e~_j, so sigma_j d sigma_j = sigma_j; with
+    e~_(j+1) = e_(j+1) - sigma_j d_(j+1) that gives sigma_(j+1) sigma_j =
+    sigma_(j+1) (sigma_j - sigma_j d sigma_j) = 0.  Also d sigma + sigma d = e
+    in every degree below the top, and at the top too exactly when the
+    module left there is zero.  Hence theta^2 = d d + d sigma + sigma d +
+    sigma sigma = e.  theta exchanges the odd and the even degrees, so with
+    the special module first among the odd coordinates, iso is theta from
+    odd to even and iso_inverse theta from even to odd.
     """
-    ring = t.ring
-    gamma = _contraction(t)
     lo, hi = t.bottom_degree, t.top_degree
-    odd = [n for n in range(lo, hi + 1) if n % 2 != 0]
-    even = [n for n in range(lo, hi + 1) if n % 2 == 0]
+    sigma, rest = {}, t
+    for j, s, rest in _peel(t, hi - 1):
+        sigma[j] = s
+    if not rest.idem(hi).is_zero:
+        raise ArithmeticError("contraction fails at the top degree")
 
-    def theta(tgt_degs, src_degs):
-        grid = []
-        for b in tgt_degs:
-            row = []
-            for a in src_degs:
-                if b == a - 1:
-                    row.append(t.boundary(a))
-                elif b == a + 1:
-                    g = gamma.get(a)
-                    row.append(g if g is not None
-                               else Mat.zero(ring, t.rank_at(b), t.rank_at(a)))
-                else:
-                    row.append(Mat.zero(ring, t.rank_at(b), t.rank_at(a)))
-            grid.append(row)
-        if not grid or not grid[0]:
-            return Mat.zero(ring, sum(t.rank_at(b) for b in tgt_degs),
-                            sum(t.rank_at(a) for a in src_degs))
-        return Mat.block(grid)
+    def block(b, a):
+        if b == a - 1:
+            return t.boundary(a)
+        if b == a + 1:
+            return sigma[a]
+        return Mat.zero(t.ring, t.rank_at(b), t.rank_at(a))
 
-    th_oe = theta(even, odd)   # odd -> even
-    th_eo = theta(odd, even)   # even -> odd
+    degs = t.degrees()
+    theta = Mat.block([[block(b, a) for a in degs] for b in degs])
+    at = {n: sum(t.rank_at(m) for m in range(lo, n)) for n in degs}
 
-    e_odd = Mat.diag(ring, *(t.idem(nn) for nn in odd))
-    sq = th_eo @ th_oe              # = e_odd + G with G nilpotent
-    g_nil = sq - e_odd
-    inv = e_odd
-    term = g_nil
-    sign = -1
-    while not term.is_zero:
-        inv = inv + term.scale(ring.from_int(sign))
-        term = term @ g_nil
-        sign = -sign
-    th_inv = inv @ th_eo            # even -> odd, two-sided inverse of th_oe
+    def coords(parity):
+        return [x for n in degs if n % 2 == parity
+                for x in range(at[n], at[n] + t.rank_at(n))]
 
-    # Reorder odd coordinates: the special block first, then the rest.
-    total_odd = sum(t.rank_at(nn) for nn in odd)
-    sp_at = sum(t.rank_at(nn) for nn in odd if nn < special_degree) + special_offset
-    sp_rank = special.ambient_rank
-    new_to_old = (list(range(sp_at, sp_at + sp_rank))
-                  + [x for x in range(total_odd)
-                     if not sp_at <= x < sp_at + sp_rank])
-    iso = th_oe.submatrix(range(th_oe.rows), new_to_old)
-    iso_inverse = th_inv.submatrix(new_to_old, range(th_inv.cols))
-    a = total_odd - sp_rank
-    b = sum(t.rank_at(nn) for nn in even)
-    w = StableFreenessWitness(a, b, iso, iso_inverse)
+    sp_at = at[special_degree] + special_offset
+    sp = range(sp_at, sp_at + special.ambient_rank)
+    even, odd = coords(0), list(sp) + [x for x in coords(1) if x not in sp]
+    w = StableFreenessWitness(len(odd) - len(sp), len(even),
+                              theta.submatrix(even, odd), theta.submatrix(odd, even))
     chk = verify_stable_freeness(special, w)
     if not chk.ok:
         raise ArithmeticError(
@@ -341,7 +321,6 @@ def finiteness_obstruction(d: Domination) -> ObstructionReport:
     rep = split_k0(k0_class_of_complex(red))
     all_free = all(d.A.module(n).is_free for n in d.A.degrees())
     if all_free and rep.sigma_zero_witness is None:
-        from .projective import sigma_module
         module = sigma_module(rep.sigma)
         if module.ambient_rank == inst.F_rank and module.idem == inst.P:
             witness = stable_freeness_witness(inst)
@@ -377,25 +356,13 @@ def trim_below(x: ProjComplex, k: int) -> TrimResult:
             raise TrimPreconditionError(n)
     cur = x
     splittings = {}
-    while cur.bottom_degree <= k:
-        j = cur.bottom_degree
-        if len(cur.modules) == 1:
-            cur = ProjComplex(x.ring, k + 1, (), ())
-            break
-        e_j = cur.idem(j)
-        d_next = cur.boundary(j + 1)
-        sigma = MatrixSolver(d_next).solve_matrix(e_j)
-        if sigma is None:
-            raise ArithmeticError(f"bottom splitting unsolvable at degree {j}")
-        sigma = cur.idem(j + 1) @ sigma @ e_j
+    for j, sigma, cur in _peel(x, k):
         splittings[j] = sigma
-        new_idem = cur.idem(j + 1) - sigma @ d_next
-        mods = [ProjModule(new_idem)] + list(cur.modules[2:])
-        bnds = list(cur.boundaries[1:])
-        cur = ProjComplex(cur.ring, j + 1, mods, bnds)
         rep = validate_complex(cur)
         if not rep.ok:
             raise ArithmeticError(f"trim produced an invalid complex at {j}")
+    if cur.bottom_degree <= k:      # one acyclic, hence zero, module left
+        cur = ProjComplex(x.ring, k + 1, (), ())
     return TrimResult(cur, splittings)
 
 

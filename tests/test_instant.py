@@ -4,10 +4,12 @@ import random
 import pytest
 
 from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
-                               homology, validate_complex, verify_chain_map,
-                               verify_homotopy)
-from chaink0.corpus import corpus_dominations, random_domination
-from chaink0.instant import (Domination, TrimPreconditionError, build_instant,
+                               homology, mapping_cone, validate_complex,
+                               verify_chain_map, verify_homotopy)
+from chaink0.corpus import (corpus_dominations, random_domination,
+                            random_free_complex)
+from chaink0.instant import (Domination, TrimPreconditionError, _peel,
+                             _witness_from_acyclic, build_instant,
                              finite_projective_reduction,
                              finiteness_obstruction, free_replacement,
                              reduction_comparison_maps,
@@ -129,6 +131,51 @@ def test_nonzero_homotopy_keeps_class_and_homology(seed, ring):
     assert homology(finite_projective_reduction(build_instant(d2))) == homology(d.A)
 
 
+def unimodular(rng, ring, n):
+    """(g, g^-1) for g a seeded product of elementary n x n matrices."""
+    def elementary(i, j, a):
+        return Mat(ring, n, n, [ring.one if r == c else a if (r, c) == (i, j)
+                                else ring.zero for r in range(n) for c in range(n)])
+
+    g = g_inv = Mat.identity(ring, n)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        a = ring.from_coords([rng.randint(-2, 2) for _ in range(ring.flat_rank)])
+        g, g_inv = g @ elementary(i, j, a), elementary(i, j, -a) @ g_inv
+    return g, g_inv
+
+
+def conjugate(d, rng):
+    """d conjugated by a seeded chain automorphism phi of C: boundaries
+    phi d phi^-1, i' = phi i, r' = r phi^-1 and the same s."""
+    c, ring = d.C, d.C.ring
+    phi = {n: unimodular(rng, ring, c.rank_at(n)) for n in c.degrees()}
+    c2 = ProjComplex.free_complex(
+        ring, c.bottom_degree, [c.rank_at(n) for n in c.degrees()],
+        [phi[n - 1][0] @ c.boundary(n) @ phi[n][1] for n in c.degrees()[1:]])
+    i2 = ChainMap(d.A, c2, {n: phi[n][0] @ m for n, m in d.i.components.items()})
+    r2 = ChainMap(c2, d.A, {n: m @ phi[n][1] for n, m in d.r.components.items()})
+    return Domination(d.A, c2, i2, r2, d.s)
+
+
+@pytest.mark.parametrize("ring_name", ["integers", "c2"])
+def test_conjugated_domination_keeps_class_and_homology(ring_name):
+    """Wall's obstruction does not see a change of basis of C (ROADMAP 5(a))."""
+    ring = {"integers": ZZ, "c2": C2}[ring_name]
+    rng = random.Random(f"conjugate:{ring_name}")
+    doms = corpus_dominations(seed=3, count=6, ring_name=ring_name)
+    doms += [load_workloads().nontrivial_domination(rng, ring) for _ in range(6)]
+    changed = 0
+    for d in doms:
+        d2 = conjugate(d, rng)
+        changed += d2.C != d.C
+        rep, rep2 = finiteness_obstruction(d), finiteness_obstruction(d2)
+        assert ((rep2.chi, rep2.sigma_is_witnessed_zero)
+                == (rep.chi, rep.sigma_is_witnessed_zero))
+        assert homology(finite_projective_reduction(build_instant(d2))) == homology(d.A)
+    assert changed >= len(doms) // 2
+
+
 def test_obstruction_vanishes_on_free_corpus():
     for ring_name in ("integers", "c2"):
         for dom in corpus_dominations(seed=1, count=10, ring_name=ring_name):
@@ -162,6 +209,40 @@ def test_stable_freeness_witness_explicit():
     inst = build_instant(cone_domination())
     w = stable_freeness_witness(inst)
     assert verify_stable_freeness(ProjModule(inst.P), w).ok
+
+
+@pytest.mark.parametrize("ring", [ZZ, C2], ids=["integers", "c2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_peel_splittings_contract_acyclic_cones(seed, ring):
+    """On cone(1_B) and on the cone of u for a corpus domination and for one
+    with s != 0, the splittings of _peel(t, top - 1) are a contraction
+    (d sigma + sigma d = e in every degree) and sigma sigma = 0."""
+    rng = random.Random(f"peel:{seed}")
+    cones = [mapping_cone(ChainMap.identity(random_free_complex(rng, ring)))]
+    for d in (random_domination(rng, ring),
+              load_workloads().nontrivial_domination(rng, ring)):
+        u, _, _ = reduction_comparison_maps(build_instant(d))
+        cones.append(mapping_cone(u))
+    for t in cones:
+        sigma, rest = {}, t
+        for j, s, rest in _peel(t, t.top_degree - 1):
+            sigma[j] = s
+        assert sorted(sigma) == list(t.degrees())[:-1]
+        assert rest.idem(t.top_degree).is_zero
+
+        def sig(j):
+            return sigma.get(j, Mat.zero(ring, t.rank_at(j + 1), t.rank_at(j)))
+
+        for j in t.degrees():
+            assert (t.boundary(j + 1) @ sig(j) + sig(j - 1) @ t.boundary(j)
+                    == t.idem(j))
+            assert (sig(j + 1) @ sig(j)).is_zero
+
+
+def test_witness_rejects_complex_not_acyclic_at_top():
+    x = ProjComplex.free_complex(ZZ, 0, [1, 2], [Mat.from_rows(ZZ, [[1, 0]])])
+    with pytest.raises(ArithmeticError, match="top degree"):
+        _witness_from_acyclic(x, 1, 0, ProjModule.free(ZZ, 2))
 
 
 def test_trim_contractible_cone():
