@@ -117,9 +117,9 @@ def parse_module(lit, ring: Ring) -> ProjModule:
 
 
 def parse_complex(lit, ring: Ring) -> ProjComplex:
+    bottom = _expect(lit, "bottom_degree", int)
     if lit.get("extension") == "laurent":
         ring = LaurentRing(ring)
-    bottom = _expect(lit, "bottom_degree", int)
     mods = [parse_module(m, ring) for m in _expect(lit, "modules", list)]
     bnds = [parse_matrix(b, ring) for b in _expect(lit, "boundaries", list)]
     try:
@@ -172,7 +172,7 @@ def parse_workspace(text: str) -> Workspace:
         raise DocumentError("document must be a JSON object")
     try:
         ring = ring_from_descriptor(_expect(raw, "ring", dict))
-    except (ValueError, TypeError) as ex:
+    except (ValueError, TypeError, KeyError) as ex:
         raise DocumentError(f"bad ring descriptor: {ex}") from ex
     ws = Workspace(ring, raw)
     for name, lit in _table(raw, "modules"):

@@ -347,7 +347,7 @@ class GroupRing(Ring):
     def parse_literal(self, lit):
         if not isinstance(lit, list):
             raise ValueError("group ring literal must be a list of [coeff, index]")
-        return self.element([(int(i), int(c)) for c, i in lit])
+        return self.element([(_json_int(i), _json_int(c)) for c, i in lit])
 
     def format(self, a):
         if not a.data:
@@ -470,7 +470,7 @@ class LaurentRing(Ring):
         if not isinstance(lit, list):
             raise ValueError("Laurent literal must be a list of [base-literal, exponent]")
         return self.element(
-            [(int(e), self.base.parse_literal(bl).data) for bl, e in lit]
+            [(_json_int(e), self.base.parse_literal(bl).data) for bl, e in lit]
         )
 
     def format(self, a):
@@ -504,7 +504,7 @@ class QuadraticRing(Ring):
     flat_rank = 2
 
     def __init__(self, d: int):
-        if d >= 0:
+        if _json_int(d) >= 0:
             raise ValueError("only imaginary quadratic rings (d < 0) are supported")
         if d == 1 or not _is_squarefree(d):
             raise ValueError("d must be squarefree and != 0, 1")
@@ -560,7 +560,7 @@ class QuadraticRing(Ring):
     def parse_literal(self, lit):
         if not isinstance(lit, list) or len(lit) != 2:
             raise ValueError("quadratic literal must be [a, b]")
-        return RingElement(self, (int(lit[0]), int(lit[1])))
+        return RingElement(self, (_json_int(lit[0]), _json_int(lit[1])))
 
     def format(self, a):
         return f"{a.data[0]} + {a.data[1]}*sqrt({self.d})"
@@ -578,7 +578,16 @@ class QuadraticRing(Ring):
         return f"Z[sqrt({self.d})]"
 
 
+def _json_int(x) -> int:
+    """x when it is an integer and not a boolean; ValueError otherwise."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def ring_from_descriptor(desc: dict) -> Ring:
+    if not isinstance(desc, dict):
+        raise ValueError("ring descriptor must be a JSON object")
     kind = desc.get("kind")
     if kind == "integers":
         return ZZ

@@ -163,6 +163,39 @@ def test_count_field_not_natural_exit_1(tmp_path, capsys, field, module, bottom)
     assert repr(field) in err
 
 
+C2_DESC = {"kind": "group_ring", "table": [[0, 1], [1, 0]]}
+Q5_DESC = {"kind": "quadratic", "d": -5}
+
+
+def point_doc(ring, entry):
+    """A document whose complex X is the 1 x 1 idempotent [entry] in degree 0."""
+    idem = {"rows": 1, "cols": 1, "entries": [entry]}
+    module = {"ambient_rank": 1, "idempotent": idem}
+    return {"ring": ring, "complexes": {"X": {"bottom_degree": 0, "boundaries": [],
+                                              "modules": [module]}}}
+
+
+@pytest.mark.parametrize("doc", [
+    {"ring": {"kind": "integers"}, "complexes": {"X": [1, 2]}},
+    {"ring": {"kind": "laurent", "base": "x"}},
+    {"ring": {"kind": "group_ring"}},
+    point_doc({"kind": "quadratic", "d": -5.0}, [1, 0]),
+    point_doc(C2_DESC, [[1, 0.5]]),
+    point_doc(C2_DESC, [[True, 0]]),
+    point_doc(Q5_DESC, [1.5, 0]),
+    point_doc(Q5_DESC, [True, 0]),
+    point_doc({"kind": "laurent", "base": {"kind": "integers"}}, [["1", 0.0]]),
+], ids=["complex-list", "laurent-base-string", "group-ring-no-table",
+        "quadratic-d-float", "group-index-float", "group-coeff-true",
+        "quadratic-float", "quadratic-true", "laurent-exponent-float"])
+def test_document_contract_exit_1(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--input", str(path), "--name", "X")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_unresolved_name_exit_1(capsys):
     code, _, err = run(capsys, "verify", "--input", str(FIXTURES / "rp2.json"),
                        "--name", "ghost")
