@@ -274,16 +274,3 @@ def ring_kernel_coords(m: Mat) -> list[list[int]]:
     if k is None:
         raise UnsupportedRing("no finite flattening over this ring")
     return intlinalg.IntegerSolver(m.flatten(), m.cols * k).kernel_basis()
-
-
-def smith_normal_form(m: Mat) -> tuple[Mat, Mat, Mat]:
-    """(D, U, V) with U @ m @ V = D over the integers; U, V unimodular."""
-    from .rings import IntegerRing
-    if not isinstance(m.ring, IntegerRing):
-        raise UnsupportedRing("Smith normal form expects an integer matrix")
-    s = intlinalg.smith_normal_form(m.flatten())
-
-    def lift(rows):
-        return Mat.from_rows(m.ring, rows) if rows else Mat.zero(m.ring, 0, 0)
-
-    return lift(s.d), lift(s.u), lift(s.v)

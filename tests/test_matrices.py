@@ -5,7 +5,7 @@ import pytest
 
 from chaink0 import intlinalg as il
 from chaink0.matrices import (Mat, ShapeError, kernel_lattice, ring_kernel_coords,
-                              smith_normal_form, solve_linear)
+                              solve_linear)
 from chaink0.rings import C2, ZZ, LaurentRing, QuadraticRing, RingMismatch, UnsupportedRing
 
 Q5 = QuadraticRing(-5)
@@ -121,10 +121,3 @@ def test_ring_kernel_coords():
             for v in ring_kernel_coords(m):
                 col = Mat.from_column_coords(ring, v)
                 assert (m @ col).is_zero
-
-
-def test_mat_level_snf():
-    m = Mat.from_rows(ZZ, [[2, 4], [6, 8]])
-    d, u, v = smith_normal_form(m)
-    assert u @ m @ v == d
-    assert d[0, 0] == ZZ.from_int(2) and d[1, 1] == ZZ.from_int(4)
