@@ -14,10 +14,8 @@ from .constructions import (WindowedLaurentCheck, algebraic_mapping_torus,
 from .corpus import corpus_dominations, generate_corpus
 from .documents import DocumentError, Workspace, canonical_json, parse_workspace
 from .instant import (Domination, InstantData, TrimPreconditionError, TrimResult,
-                      build_instant, finite_projective_reduction,
-                      finiteness_obstruction, free_replacement,
-                      reduction_comparison_maps, stable_freeness_witness,
-                      trim_below, verify_domination)
+                      build_instant, finiteness_obstruction, free_replacement,
+                      stable_freeness_witness, trim_below, verify_domination)
 from .matrices import Mat, MatrixSolver, ShapeError, kernel_lattice, solve_linear
 from .projective import (ClassVerdict, IdealLattice, K0Class, ObstructionReport,
                          StableFreenessWitness, complement, ideal_of_module,

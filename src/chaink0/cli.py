@@ -20,8 +20,8 @@ from .documents import (DocumentError, Workspace, canonical_json, complex_litera
                         homology_literal, matrix_literal, module_literal,
                         parse_workspace, report_literal, witness_literal)
 from .instant import (Domination, TrimPreconditionError, build_instant,
-                      finite_projective_reduction, finiteness_obstruction,
-                      free_replacement, trim_below, verify_domination)
+                      finiteness_obstruction, free_replacement, trim_below,
+                      verify_domination)
 from .matrices import ShapeError
 from .projective import quadratic_class_oracle, rank
 from .rings import QuadraticRing, RingMismatch, UnsupportedRing
@@ -138,9 +138,8 @@ def _instant(args, ws, dom):
     inst = build_instant(dom)
     return {"F_rank": inst.F_rank,
             "P": matrix_literal(inst.P),
-            "boundaries": [matrix_literal(b) for b in inst.boundaries],
-            "reduction": complex_literal(finite_projective_reduction(inst),
-                                         dom.A.ring)}, True
+            "boundaries": [matrix_literal(b) for b in inst.reduction.boundaries],
+            "reduction": complex_literal(inst.reduction, dom.A.ring)}, True
 
 
 def _obstruction(args, ws, dom):

@@ -228,29 +228,23 @@ def workspace_literal(ws: Workspace) -> dict:
         out["complexes"] = {k: complex_literal(v, ws.ring)
                             for k, v in ws.complexes.items()}
 
-    def map_lit(m, tables):
-        name_of = {}
-        for table in tables:
-            for k, v in table.items():
-                name_of.setdefault(id(v), k)
-        return {"source": name_of[id(m.source)], "target": name_of[id(m.target)],
+    # One id -> name index for every object a map or a domination refers to.
+    names: dict = {}
+    for table in (ws.complexes, ws.maps, ws.homotopies):
+        for k, v in table.items():
+            names.setdefault(id(v), k)
+
+    def map_lit(m):
+        return {"source": names[id(m.source)], "target": names[id(m.target)],
                 "components": _components_literal(m.components)}
 
     if ws.maps:
-        out["maps"] = {k: map_lit(v, [ws.complexes]) for k, v in ws.maps.items()}
+        out["maps"] = {k: map_lit(v) for k, v in ws.maps.items()}
     if ws.homotopies:
-        out["homotopies"] = {k: map_lit(v, [ws.complexes])
-                             for k, v in ws.homotopies.items()}
+        out["homotopies"] = {k: map_lit(v) for k, v in ws.homotopies.items()}
     if ws.witnesses:
         out["witnesses"] = {k: witness_literal(v) for k, v in ws.witnesses.items()}
     if ws.dominations:
-        names: dict = {}
-        for k, v in ws.complexes.items():
-            names.setdefault(id(v), k)
-        for k, v in ws.maps.items():
-            names.setdefault(id(v), k)
-        for k, v in ws.homotopies.items():
-            names.setdefault(id(v), k)
         out["dominations"] = {
             k: {"A": names[id(d.A)], "C": names[id(d.C)], "i": names[id(d.i)],
                 "r": names[id(d.r)], "s": names[id(d.s)]}

@@ -9,10 +9,10 @@ one block idempotent P on F = C_0 + ... + C_n:
 Everything else is read off P.  On F_m = C_m + ... + C_n the boundary
 F_m -> F_(m-1) is the block of P (m odd) or of 1 - P (m even) on rows
 C_(m-1..n) and columns C_(m..n); below degree 0 the complex continues with
-the same pattern 1 - P, P, 1 - P, ...  The comparison maps are
-I[m] = (i_c s^(c-m))_c, R[m] = [r_m | 0] and the homotopy h[m] = [0 | 1].
-The finite projective truncation has im(P) in degree 0, and its class in
-reduced K0 is the finiteness obstruction.
+the same pattern 1 - P, P, 1 - P, ...  The finite projective truncation K
+has im(P) in degree 0, and its class in reduced K0 is the finiteness
+obstruction.  The comparison maps are j_m = (i_c s^(c-m))_c : A -> K and
+u_m = [r_m | 0] : K -> A, with the homotopy h_m = [0 | 1] from 1_K to j u.
 
 Also here: the trim construction that shortens a complex with acyclic
 bottom degrees, and the replacement of a stably free module by free ones.
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
-                        homology, mapping_cone, validate_complex,
-                        verify_chain_map, verify_homotopy)
+from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule, _cone,
+                        homology, validate_complex, verify_chain_map,
+                        verify_homotopy)
 from .matrices import Mat, MatrixSolver
 from .projective import (ObstructionReport, StableFreenessWitness, k0_class_of_complex,
-                         sigma_module, split_k0, verify_stable_freeness)
+                         split_k0, verify_stable_freeness)
 from .verdicts import Report, VerificationFailed
 
 
@@ -71,34 +71,31 @@ def verify_domination(d: Domination) -> Report:
 
 @dataclass(frozen=True)
 class InstantData:
-    """The assembled instant-obstruction package.
+    """The instant-obstruction package, certified by build_instant.
 
-    boundaries[m-1] is the map F_m -> F_{m-1} for m = 1..n, a block of P or
-    of 1-P; below degree 0 the complex continues with the alternating
-    pattern 1-P, P, 1-P, ... which is never materialized.
+    reduction is the finite projective complex K: im(P) in degree 0 and the
+    free F_m in degrees 1..n, each boundary F_m -> F_(m-1) a block of P or
+    of 1 - P.  Below degree 0 the complex F_* continues with the
+    alternating pattern 1-P, P, 1-P, ... which is never materialized.
     """
 
     domination: Domination
     F_rank: int
     P: Mat
-    boundaries: tuple
-    I: tuple  # I[m]: A_m -> F_m
-    R: tuple  # R[m]: F_m -> A_m
-    IR_homotopy: tuple  # h[m]: F_m -> F_{m+1}, m = 0..n-1
-
-    def f_rank(self, m: int) -> int:
-        c = self.domination.C
-        return sum(c.rank_at(j) for j in range(m, self.domination.top + 1))
+    reduction: ProjComplex
+    u: ChainMap  # K -> A, with u j = r i
+    j: ChainMap  # A -> K
+    h: Homotopy  # on K, witnessing 1_K - j u
 
 
 def build_instant(d: Domination) -> InstantData:
-    """Assemble P, the boundaries of F_*, I, R, and the IR homotopy.
+    """Assemble P, the reduction K, u, j and h, and certify them.
 
     The domination is verified first, here and nowhere else on the way to
     an obstruction; a failure raises VerificationFailed with its report.
-    Every defining identity (P idempotent, boundaries composing to zero
-    including the periodic tail, R I = r i, the homotopy certificates) is
-    verified exactly before returning.
+    The package is then checked with the engine's verifiers: K is a valid
+    complex, j and u are chain maps, u j = r i and h is a homotopy from
+    1_K to j u.  A failure raises ArithmeticError with the violations.
     """
     rep = verify_domination(d)
     if not rep.ok:
@@ -135,91 +132,39 @@ def build_instant(d: Domination) -> InstantData:
     # F_m is the tail of F from offset[m] on; offset[n + 1] = rank F.
     offset = [sum(rank(j) for j in range(m)) for m in range(n + 2)]
     F = offset[-1]
-    boundaries = tuple(
+    boundaries = [
         (P if m % 2 else one_minus_P).submatrix(range(offset[m - 1], F),
                                                 range(offset[m], F))
-        for m in range(1, n + 1))
-    I_maps = tuple(Mat.block([[blk] for blk in col]) for col in i_blocks)
-    R_maps = tuple(Mat.block([[d.r.component(m),
-                               Mat.zero(ring, d.A.rank_at(m), F - offset[m + 1])]])
-                   for m in degs)
-    homos = tuple(Mat.block([[Mat.zero(ring, F - offset[m + 1], rank(m)),
-                              Mat.identity(ring, F - offset[m + 1])]])
-                  for m in range(0, n))
-    inst = InstantData(d, F, P, boundaries, I_maps, R_maps, homos)
-    _audit_instant(inst)
+        for m in range(1, n + 1)]
+    K = ProjComplex(ring, 0, [ProjModule(P)] + [ProjModule.free(ring, F - offset[m])
+                                                for m in range(1, n + 1)],
+                    boundaries)
+    # j_m = (i_c s^(c-m))_c, u_m = [r_m | 0] and h_m = [0 | 1], the last two
+    # restricted to im(P) in degree 0.
+    u, h = {}, {}
+    for m in degs:
+        rest = F - offset[m + 1]
+        u[m] = Mat.block([[d.r.component(m), Mat.zero(ring, d.A.rank_at(m), rest)]])
+        if m < n:
+            h[m] = Mat.block([[Mat.zero(ring, rest, rank(m)), Mat.identity(ring, rest)]])
+    u[0] = u[0] @ P
+    if n >= 1:
+        h[0] = h[0] @ P
+    inst = InstantData(d, F, P, K, ChainMap(K, d.A, u),
+                       ChainMap(d.A, K, {m: Mat.block([[blk] for blk in col])
+                                         for m, col in enumerate(i_blocks)}),
+                       Homotopy(K, K, h))
+    rep = Report()
+    rep.merge(validate_complex(K), prefix="K.")
+    rep.merge(verify_chain_map(inst.j), prefix="j.")
+    rep.merge(verify_chain_map(inst.u), prefix="u.")
+    if inst.u.compose(inst.j) != d.r.compose(d.i):
+        rep.add("instant.uj_not_ri")
+    rep.merge(verify_homotopy(inst.h, ChainMap.identity(K), inst.j.compose(inst.u)),
+              prefix="h.")
+    if not rep.ok:
+        raise ArithmeticError(f"instant package fails: {rep.as_dict()['violations']}")
     return inst
-
-
-def _audit_instant(inst: InstantData) -> None:
-    """Exact verification of every defining identity; raises on any failure."""
-    d = inst.domination
-    ring = d.A.ring
-    n = d.top
-    P = inst.P
-    if not P.is_idempotent():
-        raise ArithmeticError("instant idempotent fails P@P = P")
-    for m in range(2, n + 1):
-        if not (inst.boundaries[m - 2] @ inst.boundaries[m - 1]).is_zero:
-            raise ArithmeticError(f"boundaries {m} and {m - 1} do not compose to zero")
-    if n >= 1:
-        # The tail below degree 0 starts with 1 - P, so the composite
-        # (1 - P) d_1 must vanish, i.e. P absorbs d_1.
-        if (P @ inst.boundaries[0]) != inst.boundaries[0]:
-            raise ArithmeticError("d_1 does not land in im(P)")
-    for m in range(0, n + 1):
-        ri = d.r.component(m) @ d.i.component(m)
-        if (inst.R[m] @ inst.I[m]) != ri:
-            raise ArithmeticError(f"R I != r i at degree {m}")
-    if (P @ inst.I[0]) != inst.I[0]:
-        raise ArithmeticError("I_0 does not land in im(P)")
-    for m in range(0, n + 1):
-        rank = inst.f_rank(m)
-        ident = P if m == 0 else Mat.identity(ring, rank)
-        h_up = inst.IR_homotopy[m] if m < n else Mat.zero(ring, 0, rank)
-        dh = (inst.boundaries[m] @ h_up if m < n
-              else Mat.zero(ring, rank, rank))
-        hd = (inst.IR_homotopy[m - 1] @ inst.boundaries[m - 1] if m >= 1
-              else Mat.zero(ring, rank, rank))
-        if (dh + hd) != ident - inst.I[m] @ inst.R[m]:
-            raise ArithmeticError(f"IR homotopy identity fails at degree {m}")
-
-
-def finite_projective_reduction(inst: InstantData) -> ProjComplex:
-    """The finite truncation: im(P) at degree 0, free F_m in degrees 1..n.
-
-    Not validated again: build_instant's audit already proved everything
-    validate_complex tests here (P@P = P, d_{m-1} d_m = 0, P d_1 = d_1, and
-    the free modules are identities).
-    """
-    d = inst.domination
-    ring = d.A.ring
-    mods = [ProjModule(inst.P)]
-    for m in range(1, d.top + 1):
-        mods.append(ProjModule.free(ring, inst.f_rank(m)))
-    return ProjComplex(ring, 0, mods, list(inst.boundaries))
-
-
-def reduction_comparison_maps(inst: InstantData) -> tuple[ChainMap, ChainMap, Homotopy]:
-    """(u: K -> A, j: A -> K, h) with u j = r i on A and j u homotopic to 1_K."""
-    d = inst.domination
-    red = finite_projective_reduction(inst)
-    n = d.top
-    u_comps = {}
-    j_comps = {}
-    for m in range(0, n + 1):
-        um = inst.R[m]
-        if m == 0:
-            um = um @ inst.P
-        u_comps[m] = um
-        j_comps[m] = inst.I[m]
-    u = ChainMap(red, d.A, u_comps)
-    j = ChainMap(d.A, red, j_comps)
-    h_comps = {m: inst.IR_homotopy[m] for m in range(0, n)}
-    if n >= 1:
-        h_comps[0] = inst.IR_homotopy[0] @ inst.P
-    h = Homotopy(red, red, h_comps)
-    return u, j, h
 
 
 def _peel(x: ProjComplex, k: int):
@@ -298,33 +243,30 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
 def stable_freeness_witness(inst: InstantData) -> StableFreenessWitness:
     """Witness that im(P) is stably free, valid whenever A is all free.
 
-    Built from a contraction of the cone on the comparison map from the
-    reduction to A; the cone is acyclic because the comparison map is an
-    equivalence.
+    Built from a contraction of the cone on u: K -> A; the cone is acyclic
+    because u is an equivalence.
     """
     d = inst.domination
     for n in d.A.degrees():
         if not d.A.module(n).is_free:
             raise ValueError("witness construction needs an all-free dominated complex")
-    u, _, _ = reduction_comparison_maps(inst)
-    cone = mapping_cone(u)
+    # inst.u is certified by build_instant, so its cone needs no recheck.
+    cone = _cone(inst.u)
     # In the cone, degree n holds A_n then K_{n-1}; the projective block
     # K_0 = (F, P) sits at cone degree 1 with offset rank(A_1).
-    special = ProjModule(inst.P)
-    return _witness_from_acyclic(cone, 1, d.A.rank_at(1), special)
+    return _witness_from_acyclic(cone, 1, d.A.rank_at(1), inst.reduction.module(0))
 
 
 def finiteness_obstruction(d: Domination) -> ObstructionReport:
     """(chi, sigma) of the finite projective truncation of a domination."""
     inst = build_instant(d)
-    red = finite_projective_reduction(inst)
-    rep = split_k0(k0_class_of_complex(red))
+    rep = split_k0(k0_class_of_complex(inst.reduction))
     all_free = all(d.A.module(n).is_free for n in d.A.degrees())
     if all_free and rep.sigma_zero_witness is None:
-        module = sigma_module(rep.sigma)
-        if module.ambient_rank == inst.F_rank and module.idem == inst.P:
-            witness = stable_freeness_witness(inst)
-            rep = ObstructionReport(rep.chi, rep.sigma, witness, module)
+        # K's only non-free module is K_0 = im(P), so sigma's plus side is
+        # exactly im(P).
+        rep = ObstructionReport(rep.chi, rep.sigma, stable_freeness_witness(inst),
+                                inst.reduction.module(0))
     return rep
 
 

@@ -156,11 +156,6 @@ class ObstructionReport:
         return self.sigma_zero_witness is not None
 
 
-def sigma_module(sigma: K0Class) -> ProjModule:
-    """Block direct sum of the plus-side idempotents of a normalized class."""
-    return ProjModule(Mat.diag(sigma.ring, *(m.idem for m in sigma.plus)))
-
-
 def split_k0(c: K0Class) -> ObstructionReport:
     """chi = rank difference; sigma = the class with free summands stripped
     and the smaller side padded free so its rank vanishes."""

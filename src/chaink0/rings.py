@@ -10,6 +10,7 @@ coefficients), so equality is structural.
 """
 from __future__ import annotations
 
+import re
 from functools import cached_property
 
 
@@ -181,6 +182,9 @@ class Ring:
         raise NotImplementedError
 
 
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
 class IntegerRing(Ring):
     kind = "integers"
     flat_rank = 1
@@ -221,8 +225,9 @@ class IntegerRing(Ring):
         return str(a.data)
 
     def parse_literal(self, lit):
-        if not isinstance(lit, str):
-            raise ValueError("integer literal must be a decimal string")
+        # Only the strings literal() writes, so the round trip is bit-exact.
+        if not isinstance(lit, str) or not _DECIMAL.fullmatch(lit):
+            raise ValueError(f"not a canonical decimal integer literal: {lit!r}")
         return RingElement(self, int(lit))
 
     def format(self, a):
@@ -254,7 +259,7 @@ class GroupRing(Ring):
     kind = "group_ring"
 
     def __init__(self, table):
-        self.table = tuple(tuple(row) for row in table)
+        self.table = tuple(tuple(_json_int(g) for g in row) for row in table)
         self.order = len(self.table)
         self._validate_table()
         self.flat_rank = self.order

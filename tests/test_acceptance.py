@@ -20,7 +20,6 @@ from chaink0.constructions import (laurent_resolution, laurent_window_check,
                                    realize, swindle_prefix)
 from chaink0.corpus import corpus_dominations
 from chaink0.instant import (TrimPreconditionError, build_instant,
-                             finite_projective_reduction,
                              finiteness_obstruction, trim_below,
                              verify_domination)
 from chaink0.matrices import Mat, solve_linear
@@ -72,8 +71,9 @@ def test_criterion_1_instant_identities():
             assert verify_domination(dom).ok
             inst = build_instant(dom)  # fails fast if any identity breaks
             assert inst.P.is_idempotent()
-            for m in range(1, len(inst.boundaries)):
-                assert (inst.boundaries[m - 1] @ inst.boundaries[m]).is_zero
+            bnds = inst.reduction.boundaries
+            for m in range(1, len(bnds)):
+                assert (bnds[m - 1] @ bnds[m]).is_zero
             seen += 1
         assert seen >= 50
 
@@ -81,7 +81,7 @@ def test_criterion_1_instant_identities():
 def test_criterion_2_homology_preservation():
     with criterion(2, "reduction preserves homology"):
         for dom in full_corpus():
-            red = finite_projective_reduction(build_instant(dom))
+            red = build_instant(dom).reduction
             ha, hr = homology(dom.A), homology(red)
             degrees = ({n for n, _, _ in ha.groups}
                        | {n for n, _, _ in hr.groups})

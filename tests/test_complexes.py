@@ -5,13 +5,14 @@ import pytest
 
 from chaink0 import intlinalg
 from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
-                               direct_sum, homology, mapping_cone, shift,
-                               tensor_with_laurent, validate_complex,
+                               _inside, direct_sum, homology, mapping_cone,
+                               shift, tensor_with_laurent, validate_complex,
                                verify_chain_map, verify_homotopy)
 from chaink0.constructions import swindle_prefix
 from chaink0.corpus import random_free_complex
 from chaink0.matrices import Mat
 from chaink0.rings import C2, ZZ, QuadraticRing, UnsupportedRing
+from test_instant import unimodular
 
 Q5 = QuadraticRing(-5)
 
@@ -33,6 +34,34 @@ def test_validate_complex():
     assert not rep.ok
     assert any(v.code == "complex.dd_nonzero" and v.degree == 2
                for v in rep.violations)
+
+
+def _seeded_modules(rng, ring, n):
+    """The free module of rank n and g D g^-1 for a seeded unimodular g and
+    a diagonal D of zeros and ones."""
+    g, g_inv = unimodular(rng, ring, n)
+    diag = Mat(ring, n, n, [ring.from_int(rng.randint(0, 1)) if r == c else ring.zero
+                            for r in range(n) for c in range(n)])
+    return [ProjModule.free(ring, n), ProjModule(g @ diag @ g_inv)]
+
+
+@pytest.mark.parametrize("ring", [ZZ, C2], ids=["integers", "c2"])
+@pytest.mark.parametrize("seed", range(4))
+def test_inside_agrees_with_the_full_sandwich(seed, ring):
+    rng = random.Random(f"inside:{seed}")
+    outcomes = set()
+    for _ in range(3):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        for out in _seeded_modules(rng, ring, rows):
+            for into in _seeded_modules(rng, ring, cols):
+                y = Mat(ring, rows, cols, [
+                    ring.from_coords([rng.randint(-3, 3) for _ in range(ring.flat_rank)])
+                    for _ in range(rows * cols)])
+                for x in (y, out.idem @ y, y @ into.idem, out.idem @ y @ into.idem):
+                    full = out.idem @ x @ into.idem == x
+                    assert _inside(out, x, into) == full
+                    outcomes.add(full)
+    assert outcomes == {True, False}
 
 
 def test_verify_chain_map():

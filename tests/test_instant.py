@@ -10,9 +10,7 @@ from chaink0.corpus import (corpus_dominations, random_domination,
                             random_free_complex)
 from chaink0.instant import (Domination, TrimPreconditionError, _peel,
                              _witness_from_acyclic, build_instant,
-                             finite_projective_reduction,
                              finiteness_obstruction, free_replacement,
-                             reduction_comparison_maps,
                              stable_freeness_witness, trim_below,
                              verify_domination)
 from chaink0.matrices import Mat
@@ -66,8 +64,8 @@ def test_build_instant_identity():
     inst = build_instant(identity_domination())
     assert inst.F_rank == 1
     assert inst.P == Mat.from_rows(ZZ, [[1]])
-    assert inst.I[0] == Mat.from_rows(ZZ, [[1]])
-    assert inst.R[0] == Mat.from_rows(ZZ, [[1]])
+    assert inst.j.component(0) == Mat.from_rows(ZZ, [[1]])
+    assert inst.u.component(0) == Mat.from_rows(ZZ, [[1]])
 
 
 def test_build_instant_cone():
@@ -84,18 +82,18 @@ def test_build_instant_ideal():
 
 
 def test_reduction_identity_domination():
-    red = finite_projective_reduction(build_instant(identity_domination()))
+    red = build_instant(identity_domination()).reduction
     assert homology(red).at(0) == (1, ())
 
 
 def test_reduction_cone_domination():
-    red = finite_projective_reduction(build_instant(cone_domination()))
+    red = build_instant(cone_domination()).reduction
     assert validate_complex(red).ok
     assert homology(red).is_trivial
 
 
 def test_reduction_ideal_domination():
-    red = finite_projective_reduction(build_instant(ideal_domination()))
+    red = build_instant(ideal_domination()).reduction
     assert len(red.modules) == 1
     assert red.module(0).idem == ideal_domination().A.idem(0)
 
@@ -104,14 +102,14 @@ def test_corpus_identities_and_homology():
     for ring_name in ("integers", "c2"):
         for dom in corpus_dominations(seed=0, count=15, ring_name=ring_name):
             assert verify_domination(dom).ok
-            inst = build_instant(dom)  # audits P@P=P, dd=0, RI=ri, homotopies
-            red = finite_projective_reduction(inst)
+            inst = build_instant(dom)  # certifies K, j, u, u j = r i and h
+            red = inst.reduction
             ha, hk = homology(dom.A), homology(red)
             degrees = ({n for n, _, _ in ha.groups}
                        | {n for n, _, _ in hk.groups})
             for n in degrees:
                 assert ha.at(n) == hk.at(n)
-            u, j, h = reduction_comparison_maps(inst)
+            u, j, h = inst.u, inst.j, inst.h
             assert verify_chain_map(u).ok and verify_chain_map(j).ok
             assert verify_homotopy(h, ChainMap.identity(red),
                                    j.compose(u)).ok
@@ -128,7 +126,7 @@ def test_nonzero_homotopy_keeps_class_and_homology(seed, ring):
     rep, rep2 = finiteness_obstruction(d), finiteness_obstruction(d2)
     assert ((rep2.chi, rep2.sigma_is_witnessed_zero)
             == (rep.chi, rep.sigma_is_witnessed_zero))
-    assert homology(finite_projective_reduction(build_instant(d2))) == homology(d.A)
+    assert homology(build_instant(d2).reduction) == homology(d.A)
 
 
 def unimodular(rng, ring, n):
@@ -172,7 +170,7 @@ def test_conjugated_domination_keeps_class_and_homology(ring_name):
         rep, rep2 = finiteness_obstruction(d), finiteness_obstruction(d2)
         assert ((rep2.chi, rep2.sigma_is_witnessed_zero)
                 == (rep.chi, rep.sigma_is_witnessed_zero))
-        assert homology(finite_projective_reduction(build_instant(d2))) == homology(d.A)
+        assert homology(build_instant(d2).reduction) == homology(d.A)
     assert changed >= len(doms) // 2
 
 
@@ -221,8 +219,7 @@ def test_peel_splittings_contract_acyclic_cones(seed, ring):
     cones = [mapping_cone(ChainMap.identity(random_free_complex(rng, ring)))]
     for d in (random_domination(rng, ring),
               load_workloads().nontrivial_domination(rng, ring)):
-        u, _, _ = reduction_comparison_maps(build_instant(d))
-        cones.append(mapping_cone(u))
+        cones.append(mapping_cone(build_instant(d).u))
     for t in cones:
         sigma, rest = {}, t
         for j, s, rest in _peel(t, t.top_degree - 1):

@@ -10,8 +10,8 @@ from chaink0.projective import (K0Class, StableFreenessWitness, complement,
                                 ideal_of_module, ideal_product,
                                 k0_class_of_complex, make_projective,
                                 minkowski_bound, principality,
-                                quadratic_class_oracle, rank, sigma_module,
-                                split_k0, verify_stable_freeness)
+                                quadratic_class_oracle, rank, split_k0,
+                                verify_stable_freeness)
 from chaink0.rings import C2, ZZ, QuadraticRing
 
 Q5 = QuadraticRing(-5)
@@ -204,9 +204,3 @@ def test_ideal_square_has_order_two():
 def test_minkowski_bound_value():
     assert minkowski_bound(Q5) == 3
 
-
-def test_sigma_module_assembles_plus_side():
-    p = ProjModule(ideal_idempotent())
-    rep = split_k0(K0Class(Q5, [p], []))
-    sm = sigma_module(rep.sigma)
-    assert sm.ambient_rank == 2 and sm.idem == p.idem
