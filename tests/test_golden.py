@@ -22,9 +22,11 @@ import tempfile
 import pytest
 
 from chaink0.cli import main
-from chaink0.complexes import ChainMap, ProjModule, mapping_cone
-from chaink0.corpus import generate_corpus, random_free_complex
+from chaink0.complexes import ChainMap, ProjComplex, ProjModule, mapping_cone
+from chaink0.corpus import corpus_dominations, generate_corpus, random_free_complex
 from chaink0.documents import Workspace, canonical_json, workspace_literal
+from chaink0.instant import build_instant, finiteness_obstruction
+from chaink0.matrices import Mat
 from chaink0.rings import C2, ZZ
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,6 +40,8 @@ NONTRIVIAL_COUNT = 6
 LAURENT_WINDOWS = (1, 2, 8, 24)
 # Cones of the identity of seeded free complexes, trimmed per ring.
 CONE_COUNT = 6
+# free-replace on the reductions of the corpus dominations dom0..dom7.
+REPLACE_COUNT = CORPUS_COUNT
 
 # Z, A = C = Z in degree 0, i = 1, r = 0, s = 0: the homotopy 1 - ri = 1
 # is not witnessed, so the domination is invalid.
@@ -112,6 +116,23 @@ def cone_literal(ring_name: str) -> dict:
     return workspace_literal(ws)
 
 
+def replace_literal(ring_name: str) -> dict:
+    """For each corpus domination dom<k>: its reduction K<k>, whose only
+    non-free module im(P) is at the bottom degree 0, the witness w<k> of its
+    obstruction report, and L<k>, the same K above a free R in degree -1
+    with a zero boundary, so that im(P) sits above the bottom."""
+    ring = RINGS[ring_name]
+    ws = Workspace(ring, {})
+    for k, d in enumerate(corpus_dominations(0, REPLACE_COUNT, ring_name)):
+        x = build_instant(d).reduction
+        ws.complexes[f"K{k}"] = x
+        ws.complexes[f"L{k}"] = ProjComplex(
+            ring, -1, (ProjModule.free(ring, 1),) + x.modules,
+            (Mat.zero(ring, 1, x.rank_at(0)),) + x.boundaries)
+        ws.witnesses[f"w{k}"] = finiteness_obstruction(d).sigma_zero_witness
+    return workspace_literal(ws)
+
+
 def write_documents(docs: pathlib.Path) -> None:
     for ring in CORPUS_RINGS:
         text = canonical_json(generate_corpus(0, CORPUS_COUNT, ring))
@@ -122,6 +143,8 @@ def write_documents(docs: pathlib.Path) -> None:
         (docs / f"laurent-{ring}.json").write_text(text, encoding="utf-8")
         text = canonical_json(cone_literal(ring))
         (docs / f"cones-{ring}.json").write_text(text, encoding="utf-8")
+        text = canonical_json(replace_literal(ring))
+        (docs / f"replace-{ring}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
 
 
@@ -168,6 +191,12 @@ def cases(docs: pathlib.Path) -> dict:
                 out[f"trim cones-{ring} X{k} --below {below}"] = [
                     "trim", "--input", doc, "--name", f"X{k}",
                     "--below", str(below)]
+        doc = str(docs / f"replace-{ring}.json")
+        for k in range(REPLACE_COUNT):
+            for x in ("K", "L"):
+                out[f"free-replace replace-{ring} {x}{k} --witness w{k}"] = [
+                    "free-replace", "--input", doc, "--name", f"{x}{k}",
+                    "--witness", f"w{k}"]
     return out
 
 
