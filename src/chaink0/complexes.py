@@ -171,20 +171,25 @@ def validate_complex(x: ProjComplex) -> Report:
     return rep
 
 
-class ChainMap:
-    """A degreewise map f_n between two complexes; absent degrees are zero."""
+class _GradedMap:
+    """A degreewise map phi_n: X_n -> Y_(n + degree) between two complexes;
+    absent degrees are zero.  Chain maps have degree 0, homotopies 1."""
 
     __slots__ = ("source", "target", "components")
+    degree = 0
+    # (the map, a component, the plural) as named in error messages
+    _names = ("chain map", "component", "chain maps")
 
     def __init__(self, source: ProjComplex, target: ProjComplex, components: dict):
+        noun, part, _ = self._names
         if source.ring != target.ring:
-            raise RingMismatch("chain map between different rings")
+            raise RingMismatch(f"{noun} between different rings")
         comps = {}
         for n, m in components.items():
             if m.ring != source.ring:
-                raise RingMismatch(f"component {n} over the wrong ring")
-            if m.rows != target.rank_at(n) or m.cols != source.rank_at(n):
-                raise ShapeError(f"component {n} has shape {m.rows}x{m.cols}")
+                raise RingMismatch(f"{part} {n} over the wrong ring")
+            if m.rows != target.rank_at(n + self.degree) or m.cols != source.rank_at(n):
+                raise ShapeError(f"{part} {n} has shape {m.rows}x{m.cols}")
             if not m.is_zero:
                 comps[n] = m
         object.__setattr__(self, "source", source)
@@ -192,22 +197,48 @@ class ChainMap:
         object.__setattr__(self, "components", comps)
 
     def __setattr__(self, name, value):
-        raise AttributeError("chain maps are immutable")
+        raise AttributeError(f"{self._names[2]} are immutable")
 
     def component(self, n: int) -> Mat:
         c = self.components.get(n)
         if c is not None:
             return c
-        return Mat.zero(self.source.ring, self.target.rank_at(n), self.source.rank_at(n))
+        return Mat.zero(self.source.ring, self.target.rank_at(n + self.degree),
+                        self.source.rank_at(n))
+
+    @classmethod
+    def zero(cls, source: ProjComplex, target: ProjComplex | None = None):
+        return cls(source, target or source, {})
+
+    def __repr__(self):
+        return f"{type(self).__name__}(degrees={sorted(self.components)})"
+
+
+def _verify_graded(phi: _GradedMap, code: str, failure: str, diff=None) -> Report:
+    """phi_n inside the summands, and d phi - (-1)^k phi d, for phi of
+    degree k, equal to 0 (diff None) or to diff(n) in every degree n."""
+    rep = Report()
+    x, y, k = phi.source, phi.target, phi.degree
+    for n in sorted(set(x.degrees()) | set(y.degrees())):
+        pn = phi.component(n)
+        if not _inside(y.module(n + k), pn, x.module(n)):
+            rep.add(f"{code}.escapes_summand", degree=n)
+        d_phi = y.boundary(n + k) @ pn
+        phi_d = phi.component(n - 1) @ x.boundary(n)
+        if (d_phi != phi_d) if diff is None else (d_phi + phi_d != diff(n)):
+            rep.add(f"{code}.{failure}", degree=n)
+    return rep
+
+
+class ChainMap(_GradedMap):
+    """A degreewise map f_n between two complexes; absent degrees are zero."""
+
+    __slots__ = ()
 
     @classmethod
     def identity(cls, x: ProjComplex) -> "ChainMap":
         """The identity on a projective complex: components are the idempotents."""
         return cls(x, x, {n: x.idem(n) for n in x.degrees()})
-
-    @classmethod
-    def zero(cls, source: ProjComplex, target: ProjComplex) -> "ChainMap":
-        return cls(source, target, {})
 
     def compose(self, first: "ChainMap") -> "ChainMap":
         """self after first (right-to-left)."""
@@ -225,59 +256,18 @@ class ChainMap:
         degs = set(self.components) | set(other.components)
         return all(self.component(n) == other.component(n) for n in degs)
 
-    def __repr__(self):
-        return f"ChainMap(degrees={sorted(self.components)})"
-
 
 def verify_chain_map(f: ChainMap) -> Report:
     """Exactness of every commuting square plus idempotent compatibility."""
-    rep = Report()
-    degs = set(f.source.degrees()) | set(f.target.degrees())
-    for n in sorted(degs):
-        fn = f.component(n)
-        if not _inside(f.target.module(n), fn, f.source.module(n)):
-            rep.add("map.escapes_summand", degree=n)
-        lhs = f.target.boundary(n) @ fn
-        rhs = f.component(n - 1) @ f.source.boundary(n)
-        if lhs != rhs:
-            rep.add("map.square_fails", degree=n)
-    return rep
+    return _verify_graded(f, "map", "square_fails")
 
 
-class Homotopy:
+class Homotopy(_GradedMap):
     """A degreewise s_n: X_n -> Y_{n+1} between two complexes."""
 
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: ProjComplex, target: ProjComplex, components: dict):
-        if source.ring != target.ring:
-            raise RingMismatch("homotopy between different rings")
-        comps = {}
-        for n, m in components.items():
-            if m.rows != target.rank_at(n + 1) or m.cols != source.rank_at(n):
-                raise ShapeError(f"homotopy component {n} has shape {m.rows}x{m.cols}")
-            if not m.is_zero:
-                comps[n] = m
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "components", comps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("homotopies are immutable")
-
-    def component(self, n: int) -> Mat:
-        c = self.components.get(n)
-        if c is not None:
-            return c
-        return Mat.zero(self.source.ring, self.target.rank_at(n + 1),
-                        self.source.rank_at(n))
-
-    @classmethod
-    def zero(cls, source: ProjComplex, target: ProjComplex | None = None) -> "Homotopy":
-        return cls(source, target or source, {})
-
-    def __repr__(self):
-        return f"Homotopy(degrees={sorted(self.components)})"
+    __slots__ = ()
+    degree = 1
+    _names = ("homotopy", "homotopy component", "homotopies")
 
 
 def verify_homotopy(s: Homotopy, f: ChainMap, g: ChainMap) -> Report:
@@ -286,20 +276,11 @@ def verify_homotopy(s: Homotopy, f: ChainMap, g: ChainMap) -> Report:
     if f.source != g.source or f.target != g.target:
         rep.add("homotopy.map_pair_mismatch")
         return rep
-    src, tgt = f.source, f.target
-    if s.source != src or s.target != tgt:
+    if s.source != f.source or s.target != f.target:
         rep.add("homotopy.wrong_complexes")
         return rep
-    degs = set(src.degrees()) | set(tgt.degrees())
-    for n in sorted(degs):
-        sn = s.component(n)
-        if not _inside(tgt.module(n + 1), sn, src.module(n)):
-            rep.add("homotopy.escapes_summand", degree=n)
-        lhs = s.component(n - 1) @ src.boundary(n) + tgt.boundary(n + 1) @ sn
-        rhs = f.component(n) - g.component(n)
-        if lhs != rhs:
-            rep.add("homotopy.identity_fails", degree=n)
-    return rep
+    return _verify_graded(s, "homotopy", "identity_fails",
+                          lambda n: f.component(n) - g.component(n))
 
 
 @dataclass(frozen=True)

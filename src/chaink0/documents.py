@@ -23,6 +23,12 @@ class DocumentError(ValueError):
     """Malformed document content: bad literals, shapes, or references."""
 
 
+# The largest rank a document may declare, as a module's ambient_rank or a
+# witness's a or b: a "free" module and a witness's stabilizer are built as
+# identity matrices of that size.
+MAX_RANK = 1024
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -82,11 +88,14 @@ def _expect(lit, key, kind=None):
     return v
 
 
-def _count(lit, key) -> int:
-    """A non-negative integer field: a rank, a matrix size or a witness count."""
+def _count(lit, key, cap=None) -> int:
+    """A non-negative integer field, at most cap: a rank, a matrix size or a
+    witness count."""
     v = _expect(lit, key, int)
     if v < 0:
         raise DocumentError(f"field {key!r} must be a non-negative integer")
+    if cap is not None and v > cap:
+        raise DocumentError(f"field {key!r} must be at most {cap}, got {v}")
     return v
 
 
@@ -104,7 +113,7 @@ def parse_matrix(lit, ring: Ring) -> Mat:
 
 
 def parse_module(lit, ring: Ring) -> ProjModule:
-    rank = _count(lit, "ambient_rank")
+    rank = _count(lit, "ambient_rank", MAX_RANK)
     idem = _expect(lit, "idempotent")
     if idem == "free":
         return ProjModule.free(ring, rank)
@@ -180,33 +189,25 @@ def parse_workspace(text: str) -> Workspace:
     for name, lit in _table(raw, "complexes"):
         ws.complexes[name] = parse_complex(lit, ring)
 
-    def map_ends(lit):
-        src = _ref(ws.complexes, _expect(lit, "source"), "complex")
-        tgt = _ref(ws.complexes, _expect(lit, "target"), "complex")
-        comps = {}
-        for ds, mlit in _expect(lit, "components", dict).items():
+    for key, table, cls, what in (("maps", ws.maps, ChainMap, "map"),
+                                  ("homotopies", ws.homotopies, Homotopy, "homotopy")):
+        for name, lit in _table(raw, key):
+            src = _ref(ws.complexes, _expect(lit, "source"), "complex")
+            tgt = _ref(ws.complexes, _expect(lit, "target"), "complex")
+            comps = {}
+            for ds, mlit in _expect(lit, "components", dict).items():
+                try:
+                    deg = int(ds)
+                except ValueError as ex:
+                    raise DocumentError(f"bad degree key {ds!r}") from ex
+                comps[deg] = parse_matrix(mlit, src.ring)
             try:
-                deg = int(ds)
-            except ValueError as ex:
-                raise DocumentError(f"bad degree key {ds!r}") from ex
-            comps[deg] = parse_matrix(mlit, src.ring)
-        return src, tgt, comps
-
-    for name, lit in _table(raw, "maps"):
-        src, tgt, comps = map_ends(lit)
-        try:
-            ws.maps[name] = ChainMap(src, tgt, comps)
-        except (ShapeError, RingMismatch) as ex:
-            raise DocumentError(f"map {name!r}: {ex}") from ex
-    for name, lit in _table(raw, "homotopies"):
-        src, tgt, comps = map_ends(lit)
-        try:
-            ws.homotopies[name] = Homotopy(src, tgt, comps)
-        except (ShapeError, RingMismatch) as ex:
-            raise DocumentError(f"homotopy {name!r}: {ex}") from ex
+                table[name] = cls(src, tgt, comps)
+            except (ShapeError, RingMismatch) as ex:
+                raise DocumentError(f"{what} {name!r}: {ex}") from ex
     for name, lit in _table(raw, "witnesses"):
         ws.witnesses[name] = StableFreenessWitness(
-            _count(lit, "a"), _count(lit, "b"),
+            _count(lit, "a", MAX_RANK), _count(lit, "b", MAX_RANK),
             parse_matrix(_expect(lit, "iso"), ring),
             parse_matrix(_expect(lit, "iso_inverse"), ring))
     for name, lit in _table(raw, "dominations"):

@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule, _cone,
-                        homology, validate_complex, verify_chain_map,
-                        verify_homotopy)
+                        direct_sum, homology, validate_complex,
+                        verify_chain_map, verify_homotopy)
 from .matrices import Mat, MatrixSolver
 from .projective import (ObstructionReport, StableFreenessWitness, k0_class_of_complex,
                          split_k0, verify_stable_freeness)
@@ -312,9 +312,12 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
                      ) -> tuple[ProjComplex, ChainMap, ChainMap]:
     """Replace the unique non-free module through its stable-freeness witness.
 
-    Adds an elementary R^a = R^a summand one degree up, then changes basis
-    at the non-free degree by the witness isomorphism.  Returns the all-free
-    complex together with the forward and backward equivalence maps.
+    Forms the direct sum of x and E = (R^a --1--> R^a) in degrees k + 1 and
+    k, where the non-free P sits at degree k, so that degree k holds
+    P + R^a; then changes basis there by the witness, P + R^a = R^b.  The
+    forward map is the inclusion of x followed by iso at degree k, the
+    backward map iso_inverse followed by the projection onto x.  Returns
+    the all-free complex together with the two equivalence maps.
     """
     ring = x.ring
     nonfree = [n for n in x.degrees() if not x.module(n).is_free]
@@ -324,59 +327,26 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     if len(nonfree) > 1:
         raise ValueError(f"more than one non-free module: degrees {nonfree}")
     k = nonfree[0]
-    p = x.module(k)
-    chk = verify_stable_freeness(p, w)
+    chk = verify_stable_freeness(x.module(k), w)
     if not chk.ok:
         raise ValueError(f"witness fails: {chk.as_dict()['violations']}")
-    a = w.a
-
-    def stabilized(mat):        # mat + the identity of R^a
-        return Mat.diag(ring, mat, Mat.identity(ring, a))
-
-    def pad_rows(mat):          # a zero rows below mat
-        return Mat.diag(ring, mat, Mat.zero(ring, a, 0))
-
-    def pad_cols(mat):          # a zero columns right of mat
-        return Mat.diag(ring, mat, Mat.zero(ring, 0, a))
-
-    def stabilized_module(n):
-        if n == k:
-            return ProjModule.free(ring, w.b)
-        if n == k + 1:
-            return ProjModule(stabilized(x.idem(n)))
-        return x.module(n)
-
-    lo = min(x.bottom_degree, k)
-    hi = max(x.top_degree, k + 1)
-    mods = [stabilized_module(n) for n in range(lo, hi + 1)]
-    bnds = []
-    for n in range(lo + 1, hi + 1):
-        dn = x.boundary(n)
-        if n == k:
-            bnds.append(pad_cols(dn) @ w.iso_inverse)
-        elif n == k + 1:
-            bnds.append(w.iso @ stabilized(dn))
-        elif n == k + 2:
-            bnds.append(pad_rows(dn))
-        else:
-            bnds.append(dn)
-    out = ProjComplex(ring, lo, mods, bnds)
+    elem = ProjComplex.free_complex(ring, k, [w.a, w.a], [Mat.identity(ring, w.a)])
+    total = direct_sum(x, elem)
+    j = k - total.bottom_degree
+    mods, bnds = list(total.modules), list(total.boundaries)
+    mods[j] = ProjModule.free(ring, w.b)
+    if j:
+        bnds[j - 1] = bnds[j - 1] @ w.iso_inverse
+    bnds[j] = w.iso @ bnds[j]
+    out = ProjComplex(ring, total.bottom_degree, mods, bnds)
     rep = validate_complex(out)
     if not rep.ok:
         raise ArithmeticError(f"replacement invalid: {rep.as_dict()['violations']}")
-
-    fwd = {}
-    bwd = {}
-    for n in range(lo, hi + 1):
-        if n == k:
-            fwd[n] = w.iso @ pad_rows(p.idem)
-            bwd[n] = pad_cols(p.idem) @ w.iso_inverse
-        elif n == k + 1:
-            fwd[n] = pad_rows(x.idem(n))
-            bwd[n] = pad_cols(x.idem(n))
-        else:
-            fwd[n] = x.idem(n)
-            bwd[n] = x.idem(n)
+    fwd = {n: Mat.diag(ring, x.idem(n), Mat.zero(ring, elem.rank_at(n), 0))
+           for n in out.degrees()}
+    bwd = {n: Mat.diag(ring, x.idem(n), Mat.zero(ring, 0, elem.rank_at(n)))
+           for n in out.degrees()}
+    fwd[k], bwd[k] = w.iso @ fwd[k], bwd[k] @ w.iso_inverse
     f = ChainMap(x, out, fwd)
     g = ChainMap(out, x, bwd)
     for mp in (f, g):

@@ -256,18 +256,6 @@ class MatrixSolver:
         return Mat.block([cols])
 
 
-def kernel_lattice(m: Mat) -> Mat:
-    """Columns forming a Z-basis of the integer kernel of a matrix over Z."""
-    from .rings import IntegerRing
-    if not isinstance(m.ring, IntegerRing):
-        raise UnsupportedRing("kernel_lattice expects an integer matrix")
-    basis = intlinalg.IntegerSolver(m.flatten(), m.cols).kernel_basis()
-    z = m.ring
-    cols = len(basis)
-    ents = [z.from_int(basis[j][i]) for i in range(m.cols) for j in range(cols)]
-    return Mat(z, m.cols, cols, ents)
-
-
 def ring_kernel_coords(m: Mat) -> list[list[int]]:
     """Z-basis (in flattened coords) of the ring-column-vector kernel of m."""
     k = m.ring.flat_rank

@@ -1,6 +1,6 @@
-"""Projective-module calculus: complements, ranks, K0 bookkeeping, the
-(chi, sigma) splitting, stable-freeness certificates, and the principality
-oracle for imaginary quadratic coefficient rings.
+"""Projective-module calculus: ranks, K0 bookkeeping, the (chi, sigma)
+splitting, stable-freeness certificates, and the principality oracle for
+imaginary quadratic coefficient rings.
 """
 from __future__ import annotations
 
@@ -9,29 +9,9 @@ from dataclasses import dataclass
 
 from . import intlinalg
 from .complexes import ProjComplex, ProjModule
-from .matrices import Mat, ShapeError
+from .matrices import Mat
 from .rings import GroupRing, IntegerRing, QuadraticRing, RingElement, UnsupportedRing
 from .verdicts import Report
-
-
-def make_projective(e: Mat) -> ProjModule:
-    """Wrap an idempotent matrix as a module; reject non-idempotents."""
-    if e.rows != e.cols:
-        raise ShapeError("idempotent must be square")
-    diff = (e @ e) - e
-    if not diff.is_zero:
-        for i in range(diff.rows):
-            for j in range(diff.cols):
-                if not diff[i, j].is_zero:
-                    raise ValueError(
-                        f"not idempotent: (e@e - e)[{i},{j}] = "
-                        f"{e.ring.format(diff[i, j])}")
-    return ProjModule(e)
-
-
-def complement(p: ProjModule) -> ProjModule:
-    """The module with idempotent 1 - e; p + complement(p) is free."""
-    return ProjModule(Mat.identity(p.ring, p.ambient_rank) - p.idem)
 
 
 def rank(p: ProjModule) -> int:

@@ -1,9 +1,14 @@
 """Command-line driver: exit-status contract and byte-level determinism."""
 import json
+import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import chaink0
 from chaink0 import cli, complexes, constructions, instant, projective
 from chaink0.cli import main
 from chaink0.corpus import corpus_dominations, generate_corpus
@@ -161,6 +166,53 @@ def test_count_field_not_natural_exit_1(tmp_path, capsys, field, module, bottom)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert repr(field) in err
+
+
+def run_limited(*argv):
+    """The CLI in a child process with 20 s and 1 GiB of address space, so
+    that unbounded work fails the test instead of hanging it."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(pathlib.Path(chaink0.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "chaink0.cli", *argv],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src))
+
+
+HUGE = {"ambient_rank": 2 ** 70, "idempotent": "free"}
+# The zero summand of R: not free, so free-replace checks a witness for it.
+ZERO_LINE = {"ambient_rank": 1,
+             "idempotent": {"rows": 1, "cols": 1, "entries": ["0"]}}
+
+
+def empty(rows, cols):
+    return {"rows": rows, "cols": cols, "entries": []}
+
+
+@pytest.mark.parametrize("argv, module, witness", [
+    (["trim", "--name", "X", "--below", "0"], HUGE, {}),
+    (["torus", "--name", "f"], HUGE, {}),
+    (["free-replace", "--name", "X", "--witness", "w"], ZERO_LINE,
+     {"a": 2 ** 70, "b": 0, "iso": empty(0, 2 ** 70 + 1),
+      "iso_inverse": empty(2 ** 70 + 1, 0)}),
+    (["free-replace", "--name", "X", "--witness", "w"], ZERO_LINE,
+     {"a": 0, "b": 2 ** 70, "iso": empty(2 ** 70, 0),
+      "iso_inverse": empty(0, 2 ** 70)}),
+], ids=["trim-rank", "torus-rank", "witness-a", "witness-b"])
+def test_rank_above_the_cap_exit_1(tmp_path, argv, module, witness):
+    """A free module of ambient rank 2^70, or a witness with a or b = 2^70,
+    is rejected while parsing instead of built as an identity matrix."""
+    point = {"bottom_degree": 0, "boundaries": [], "modules": [module]}
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "ring": {"kind": "integers"}, "complexes": {"X": point},
+        "maps": {"f": {"source": "X", "target": "X", "components": {}}},
+        "witnesses": {"w": witness} if witness else {}}))
+    proc = run_limited(argv[0], "--input", str(doc), *argv[1:])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "at most 1024" in proc.stderr
 
 
 C2_DESC = {"kind": "group_ring", "table": [[0, 1], [1, 0]]}

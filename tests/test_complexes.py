@@ -10,8 +10,8 @@ from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                                verify_chain_map, verify_homotopy)
 from chaink0.constructions import swindle_prefix
 from chaink0.corpus import random_free_complex
-from chaink0.matrices import Mat
-from chaink0.rings import C2, ZZ, QuadraticRing, UnsupportedRing
+from chaink0.matrices import Mat, ShapeError
+from chaink0.rings import C2, ZZ, QuadraticRing, RingMismatch, UnsupportedRing
 from test_instant import unimodular
 
 Q5 = QuadraticRing(-5)
@@ -81,6 +81,22 @@ def test_verify_homotopy():
     assert verify_homotopy(contraction, ident, zero).ok
     wrong = Homotopy(c, c, {0: Mat.from_rows(ZZ, [[2]])})
     assert not verify_homotopy(wrong, ident, zero).ok
+
+
+@pytest.mark.parametrize("cls, part, plural", [
+    (ChainMap, "component 0", "chain maps"),
+    (Homotopy, "homotopy component 0", "homotopies"),
+], ids=["chain-map", "homotopy"])
+def test_graded_map_checks_rings_and_shapes(cls, part, plural):
+    """Both kinds of graded map reject a component over another ring, here a
+    Z[C2] component on a Z complex, and keep their messages."""
+    c = cone_point()
+    with pytest.raises(RingMismatch, match=f"^{part} over the wrong ring$"):
+        cls(c, c, {0: Mat.identity(C2, 1)})
+    with pytest.raises(ShapeError, match=f"^{part} has shape 2x1$"):
+        cls(c, c, {0: Mat.zero(ZZ, 2, 1)})
+    with pytest.raises(AttributeError, match=f"^{plural} are immutable$"):
+        cls.zero(c, c).components = {}
 
 
 def test_homology_circle():

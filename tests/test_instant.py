@@ -174,6 +174,67 @@ def test_conjugated_domination_keeps_class_and_homology(ring_name):
     assert changed >= len(doms) // 2
 
 
+def random_homotopy(rng, x, y):
+    """A seeded map x_n -> y_(n+1), sandwiched by the idempotents."""
+    ring, comps = x.ring, {}
+    for n in x.degrees():
+        rows, cols = y.rank_at(n + 1), x.rank_at(n)
+        m = Mat(ring, rows, cols, [
+            ring.from_coords([rng.randint(-1, 1) for _ in range(ring.flat_rank)])
+            for _ in range(rows * cols)])
+        comps[n] = y.idem(n + 1) @ m @ x.idem(n)
+    return Homotopy(x, y, comps)
+
+
+def perturb(d, rng):
+    """d moved by seeded degree +1 maps X : A -> C and Y : C -> A:
+    i' = i + dX + Xd, r' = r + dY + Yd and s' = s - r X - Y i'."""
+    a, c = d.A, d.C
+    x, y = random_homotopy(rng, a, c), random_homotopy(rng, c, a)
+
+    def moved(f, h):            # f + d h + h d
+        src, tgt = f.source, f.target
+        return ChainMap(src, tgt, {
+            n: f.component(n) + tgt.boundary(n + 1) @ h.component(n)
+            + h.component(n - 1) @ src.boundary(n)
+            for n in set(src.degrees()) | set(tgt.degrees())})
+
+    i2, r2 = moved(d.i, x), moved(d.r, y)
+    s2 = Homotopy(a, a, {n: d.s.component(n) - d.r.component(n + 1) @ x.component(n)
+                         - y.component(n) @ i2.component(n) for n in a.degrees()})
+    return Domination(a, c, i2, r2, s2)
+
+
+def reaches_below_diagonal(inst):
+    """Whether some block (-1)^k i_j s^(j-k) r_k, k < j, of P is non-zero."""
+    c = inst.domination.C
+    at = [sum(c.rank_at(m) for m in range(j)) for j in range(inst.domination.top + 2)]
+    return any(not inst.P.submatrix(range(at[j], at[j + 1]), range(at[j])).is_zero
+               for j in range(1, len(at) - 1))
+
+
+@pytest.mark.parametrize("ring_name", ["integers", "c2"])
+def test_perturbed_domination_keeps_class_and_homology(ring_name):
+    """Homotopy perturbations of corpus and s != 0 dominations stay
+    dominations, reach the blocks of P below its diagonal, and keep
+    (chi, witnessed_zero) and the homology of A."""
+    ring = {"integers": ZZ, "c2": C2}[ring_name]
+    rng = random.Random(f"perturb:{ring_name}")
+    doms = [f(rng, ring) for _ in range(6)
+            for f in (random_domination, load_workloads().nontrivial_domination)]
+    reached = 0
+    for d in doms:
+        d2 = perturb(d, rng)
+        assert verify_domination(d2).ok
+        rep, rep2 = finiteness_obstruction(d), finiteness_obstruction(d2)
+        assert ((rep2.chi, rep2.sigma_is_witnessed_zero)
+                == (rep.chi, rep.sigma_is_witnessed_zero))
+        inst = build_instant(d2)
+        reached += reaches_below_diagonal(inst)
+        assert homology(inst.reduction) == homology(d.A)
+    assert reached >= len(doms) // 2
+
+
 def test_obstruction_vanishes_on_free_corpus():
     for ring_name in ("integers", "c2"):
         for dom in corpus_dominations(seed=1, count=10, ring_name=ring_name):

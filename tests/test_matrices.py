@@ -4,8 +4,7 @@ import random
 import pytest
 
 from chaink0 import intlinalg as il
-from chaink0.matrices import (Mat, ShapeError, kernel_lattice, ring_kernel_coords,
-                              solve_linear)
+from chaink0.matrices import Mat, ShapeError, ring_kernel_coords, solve_linear
 from chaink0.rings import C2, ZZ, LaurentRing, QuadraticRing, RingMismatch, UnsupportedRing
 
 Q5 = QuadraticRing(-5)
@@ -103,14 +102,6 @@ def test_solve_linear_rejects_laurent():
     m = Mat.identity(lz, 1)
     with pytest.raises(UnsupportedRing):
         solve_linear(m, Mat.zero(lz, 1, 1))
-
-
-def test_kernel_lattice():
-    m = Mat.from_rows(ZZ, [[1, 1]])
-    k = kernel_lattice(m)
-    assert k.cols == 1
-    assert (m @ k).is_zero
-    assert kernel_lattice(Mat.identity(ZZ, 3)).cols == 0
 
 
 def test_ring_kernel_coords():

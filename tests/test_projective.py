@@ -6,10 +6,9 @@ import pytest
 from chaink0 import intlinalg
 from chaink0.complexes import ProjComplex, ProjModule
 from chaink0.matrices import Mat
-from chaink0.projective import (K0Class, StableFreenessWitness, complement,
+from chaink0.projective import (K0Class, StableFreenessWitness,
                                 ideal_of_module, ideal_product,
-                                k0_class_of_complex, make_projective,
-                                minkowski_bound, principality,
+                                k0_class_of_complex, minkowski_bound, principality,
                                 quadratic_class_oracle, rank, split_k0,
                                 verify_stable_freeness)
 from chaink0.rings import C2, ZZ, QuadraticRing
@@ -29,21 +28,6 @@ def second_ideal_idempotent():
                               [Q5.from_coords([-1, -1]), Q5.from_coords([4, 0])]])
 
 
-def test_make_projective():
-    assert make_projective(Mat.identity(ZZ, 2)).is_free
-    assert make_projective(Mat.zero(ZZ, 2, 2)).is_zero
-    assert not make_projective(ideal_idempotent()).is_free
-    with pytest.raises(ValueError, match="not idempotent"):
-        make_projective(Mat.from_rows(ZZ, [[2]]))
-
-
-def test_complement():
-    p = ProjModule(ideal_idempotent())
-    q = complement(p)
-    assert (p.idem + q.idem) == Mat.identity(Q5, 2)
-    assert complement(ProjModule.free(ZZ, 3)).is_zero
-
-
 def test_rank_examples():
     assert rank(ProjModule.free(C2, 3)) == 3
     assert rank(ProjModule(Mat.zero(ZZ, 2, 2))) == 0
@@ -61,9 +45,10 @@ def test_rank_additive_on_conjugated_sums():
         u = Mat.from_rows(ZZ, [[1, a], [b, 1 + a * b]])
         uinv = Mat.from_rows(ZZ, [[1 + a * b, -a], [-b, 1]])
         e = u @ Mat.from_rows(ZZ, [[e1, 0], [0, e2]]) @ uinv
-        p = make_projective(e)
+        assert e.is_idempotent()
+        p, q = ProjModule(e), ProjModule(Mat.identity(ZZ, 2) - e)
         assert rank(p) == e1 + e2
-        assert rank(p) + rank(complement(p)) == 2
+        assert rank(p) + rank(q) == 2
 
 
 def test_k0_class_of_complex_parity():
