@@ -23,11 +23,13 @@ import pytest
 
 from chaink0.cli import main
 from chaink0.complexes import ChainMap, ProjComplex, ProjModule, mapping_cone
-from chaink0.corpus import corpus_dominations, generate_corpus, random_free_complex
+from chaink0.corpus import (corpus_dominations, generate_corpus, random_domination,
+                            random_free_complex)
 from chaink0.documents import Workspace, canonical_json, workspace_literal
 from chaink0.instant import build_instant, finiteness_obstruction
 from chaink0.matrices import Mat
 from chaink0.rings import C2, ZZ
+from perturbations import perturb
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
@@ -36,6 +38,9 @@ CORPUS_COUNT = 8
 RINGS = {"integers": ZZ, "c2": C2}
 # Dominations A + cone(1_B) with s != 0 and r i != 1, per ring.
 NONTRIVIAL_COUNT = 6
+# Homotopy perturbations of corpus and s != 0 draws, per ring; they reach
+# the blocks of P below its diagonal.
+PERTURBED_COUNT = 6
 # laurent-resolve windows on the identity and the two conjugates of diag(1, 0).
 LAURENT_WINDOWS = (1, 2, 8, 24)
 # Cones of the identity of seeded free complexes, trimmed per ring.
@@ -80,6 +85,22 @@ def nontrivial_literal(ring_name: str) -> dict:
     ws = Workspace(ring, {})
     for k in range(NONTRIVIAL_COUNT):
         d = build(rng, ring)
+        ws.complexes[f"A{k}"], ws.complexes[f"C{k}"] = d.A, d.C
+        ws.maps[f"i{k}"], ws.maps[f"r{k}"] = d.i, d.r
+        ws.homotopies[f"s{k}"] = d.s
+        ws.dominations[f"dom{k}"] = d
+    return workspace_literal(ws)
+
+
+def perturbed_literal(ring_name: str) -> dict:
+    """PERTURBED_COUNT perturbed dominations, seeded by the ring name: even
+    k perturbs a corpus draw, odd k a domination with s != 0."""
+    ring = RINGS[ring_name]
+    rng = random.Random(f"golden-perturb:{ring_name}")
+    draws = (random_domination, load_workloads().nontrivial_domination)
+    ws = Workspace(ring, {})
+    for k in range(PERTURBED_COUNT):
+        d = perturb(draws[k % 2](rng, ring), rng)
         ws.complexes[f"A{k}"], ws.complexes[f"C{k}"] = d.A, d.C
         ws.maps[f"i{k}"], ws.maps[f"r{k}"] = d.i, d.r
         ws.homotopies[f"s{k}"] = d.s
@@ -139,6 +160,8 @@ def write_documents(docs: pathlib.Path) -> None:
         (docs / f"corpus-{ring}.json").write_text(text, encoding="utf-8")
         text = canonical_json(nontrivial_literal(ring))
         (docs / f"nontrivial-{ring}.json").write_text(text, encoding="utf-8")
+        text = canonical_json(perturbed_literal(ring))
+        (docs / f"perturbed-{ring}.json").write_text(text, encoding="utf-8")
         text = canonical_json(laurent_literal(ring))
         (docs / f"laurent-{ring}.json").write_text(text, encoding="utf-8")
         text = canonical_json(cone_literal(ring))
@@ -175,6 +198,10 @@ def cases(docs: pathlib.Path) -> dict:
             doc = str(docs / f"nontrivial-{ring}.json")
             for k in range(NONTRIVIAL_COUNT):
                 out[f"{cmd} nontrivial-{ring} dom{k}"] = [
+                    cmd, "--input", doc, "--name", f"dom{k}"]
+            doc = str(docs / f"perturbed-{ring}.json")
+            for k in range(PERTURBED_COUNT):
+                out[f"{cmd} perturbed-{ring} dom{k}"] = [
                     cmd, "--input", doc, "--name", f"dom{k}"]
         out[f"{cmd} invalid dom"] = [
             cmd, "--input", str(docs / "invalid.json"), "--name", "dom"]

@@ -17,6 +17,7 @@ from chaink0.matrices import Mat
 from chaink0.projective import (quadratic_class_oracle, rank,
                                 verify_stable_freeness)
 from chaink0.rings import C2, ZZ, QuadraticRing
+from perturbations import perturb
 from test_golden import load_workloads
 
 Q5 = QuadraticRing(-5)
@@ -172,37 +173,6 @@ def test_conjugated_domination_keeps_class_and_homology(ring_name):
                 == (rep.chi, rep.sigma_is_witnessed_zero))
         assert homology(build_instant(d2).reduction) == homology(d.A)
     assert changed >= len(doms) // 2
-
-
-def random_homotopy(rng, x, y):
-    """A seeded map x_n -> y_(n+1), sandwiched by the idempotents."""
-    ring, comps = x.ring, {}
-    for n in x.degrees():
-        rows, cols = y.rank_at(n + 1), x.rank_at(n)
-        m = Mat(ring, rows, cols, [
-            ring.from_coords([rng.randint(-1, 1) for _ in range(ring.flat_rank)])
-            for _ in range(rows * cols)])
-        comps[n] = y.idem(n + 1) @ m @ x.idem(n)
-    return Homotopy(x, y, comps)
-
-
-def perturb(d, rng):
-    """d moved by seeded degree +1 maps X : A -> C and Y : C -> A:
-    i' = i + dX + Xd, r' = r + dY + Yd and s' = s - r X - Y i'."""
-    a, c = d.A, d.C
-    x, y = random_homotopy(rng, a, c), random_homotopy(rng, c, a)
-
-    def moved(f, h):            # f + d h + h d
-        src, tgt = f.source, f.target
-        return ChainMap(src, tgt, {
-            n: f.component(n) + tgt.boundary(n + 1) @ h.component(n)
-            + h.component(n - 1) @ src.boundary(n)
-            for n in set(src.degrees()) | set(tgt.degrees())})
-
-    i2, r2 = moved(d.i, x), moved(d.r, y)
-    s2 = Homotopy(a, a, {n: d.s.component(n) - d.r.component(n + 1) @ x.component(n)
-                         - y.component(n) @ i2.component(n) for n in a.degrees()})
-    return Domination(a, c, i2, r2, s2)
 
 
 def reaches_below_diagonal(inst):
