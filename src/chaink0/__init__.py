@@ -16,15 +16,14 @@ from .documents import DocumentError, Workspace, canonical_json, parse_workspace
 from .instant import (Domination, InstantData, TrimPreconditionError, TrimResult,
                       build_instant, finiteness_obstruction, free_replacement,
                       stable_freeness_witness, trim_below, verify_domination)
-from .matrices import Mat, MatrixSolver, ShapeError, solve_linear
+from .matrices import Mat, ShapeError, solve_linear
 from .projective import (ClassVerdict, IdealLattice, K0Class, ObstructionReport,
                          StableFreenessWitness, ideal_of_module, ideal_product,
                          k0_class_of_complex, minkowski_bound, principality,
                          quadratic_class_oracle, rank, split_k0,
                          verify_stable_freeness)
 from .rings import (C2, ZZ, GroupRing, IntegerRing, LaurentRing, QuadraticRing,
-                    Ring, RingElement, RingMismatch, UnsupportedRing, augment,
-                    laurent_evaluate, regular_representation,
+                    Ring, RingElement, RingMismatch, UnsupportedRing,
                     ring_from_descriptor)
 from .verdicts import Report, VerificationFailed, Violation
 

@@ -108,11 +108,18 @@ def _rejected(code: str, **fields) -> tuple[dict, bool]:
     return {"report": report_literal(rep)}, False
 
 
-def _at_least(args, dest: str, low: int) -> int:
-    """The value of --dest, rejected as malformed input when below `low`."""
+# Caps on the flags whose work grows with their value, so that no flag asks
+# for unbounded work; the README gives the time each takes at its cap.
+MAX_WINDOW, MAX_DEGREE, MAX_COUNT = 256, 256, 1000
+
+
+def _in_range(args, dest: str, low: int, high: int) -> int:
+    """The value of --dest, rejected as malformed input outside [low, high]."""
     value = getattr(args, dest)
     if value < low:
         raise DocumentError(f"--{dest} must be at least {low}, got {value}")
+    if value > high:
+        raise DocumentError(f"--{dest} must be at most {high}, got {value}")
     return value
 
 
@@ -171,13 +178,13 @@ def _free_replace(args, ws, x):
 
 
 def _laurent_resolve(args, ws, p):
-    cx, chk = laurent_resolution(p, _at_least(args, "window", 1))
+    cx, chk = laurent_resolution(p, _in_range(args, "window", 1, MAX_WINDOW))
     return {"complex": complex_literal(cx, ws.ring),
             "window_check": chk.as_dict()}, chk.ok
 
 
 def _swindle(args, ws, p):
-    cx = swindle_prefix(p, _at_least(args, "window", 1))
+    cx = swindle_prefix(p, _in_range(args, "window", 1, MAX_WINDOW))
     return {"complex": complex_literal(cx, ws.ring),
             "homology": homology_literal(homology(cx))}, True
 
@@ -189,14 +196,15 @@ def _torus(args, ws, f):
 
 
 def _realize(args, ws, p):
-    a, dom = realize(p, _at_least(args, "degree", 0))
+    a, dom = realize(p, _in_range(args, "degree", 0, MAX_DEGREE))
     payload, ok = _obstruction_payload(dom, args.class_bound)
     payload["complex"] = complex_literal(a, ws.ring)
     return payload, ok
 
 
 def _corpus(args, ws, obj):
-    return generate_corpus(args.seed, _at_least(args, "count", 1), args.ring), True
+    count = _in_range(args, "count", 1, MAX_COUNT)
+    return generate_corpus(args.seed, count, args.ring), True
 
 
 class Command(NamedTuple):

@@ -22,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule, _cone,
-                        direct_sum, homology, validate_complex,
-                        verify_chain_map, verify_homotopy)
-from .matrices import Mat, MatrixSolver
+                        direct_sum, validate_complex, verify_chain_map,
+                        verify_homotopy)
+from .matrices import Mat, solve_linear
 from .projective import (ObstructionReport, StableFreenessWitness, k0_class_of_complex,
                          split_k0, verify_stable_freeness)
+from .rings import UnsupportedRing
 from .verdicts import Report, VerificationFailed
 
 
@@ -167,27 +168,34 @@ def build_instant(d: Domination) -> InstantData:
     return inst
 
 
-def _peel(x: ProjComplex, k: int):
-    """Split off the bottom degrees <= k of x, one at a time.
+def _peel(x: ProjComplex, k: int) -> tuple[dict, ProjComplex]:
+    """Split off the degrees <= k of a valid complex x, bottom first.
 
-    At the bottom degree j, solve d_(j+1) sigma = e_j, sandwich sigma as
-    e_(j+1) sigma e_j, and replace degree j + 1 by the complementary summand
-    e_(j+1) - sigma d_(j+1).  Yields (j, sigma, rest) after each step, rest
-    being the complex from degree j + 1 on; stops when one module is left.
-    Raises ArithmeticError when some d_(j+1) does not split.
+    At the bottom degree j, solve d_(j+1) sigma_j = e~_j, the idempotent
+    left at degree j, sandwich sigma_j as e_(j+1) sigma_j e~_j, and replace
+    degree j + 1 by the complementary summand e_(j+1) - sigma_j d_(j+1); the
+    homology is unchanged.  Returns ({j: sigma_j}, rest), rest being the
+    complex above the peeled degrees, or the empty complex at degree k + 1
+    once every module is peeled.  Since H_j = im e~_j / im d_(j+1), the
+    solve fails, or the last module left is not zero, exactly at the least
+    degree j <= k with H_j(x) != 0; that raises TrimPreconditionError(j).
     """
-    cur = x
-    while cur.bottom_degree <= k and len(cur.modules) != 1:
+    sigma, cur = {}, x
+    while cur.bottom_degree <= k:
         j = cur.bottom_degree
         e_j = cur.idem(j)
+        if len(cur.modules) <= 1:
+            if not e_j.is_zero:
+                raise TrimPreconditionError(j)
+            return sigma, ProjComplex(x.ring, k + 1, (), ())
         d_next = cur.boundary(j + 1)
-        sigma = MatrixSolver(d_next).solve_matrix(e_j)
-        if sigma is None:
-            raise ArithmeticError(f"bottom splitting unsolvable at degree {j}")
-        sigma = cur.idem(j + 1) @ sigma @ e_j
-        mods = [ProjModule(cur.idem(j + 1) - sigma @ d_next)] + list(cur.modules[2:])
+        s = solve_linear(d_next, e_j)
+        if s is None:
+            raise TrimPreconditionError(j)
+        sigma[j] = s = cur.idem(j + 1) @ s @ e_j
+        mods = [ProjModule(cur.idem(j + 1) - s @ d_next)] + list(cur.modules[2:])
         cur = ProjComplex(cur.ring, j + 1, mods, cur.boundaries[1:])
-        yield j, sigma, cur
+    return sigma, cur
 
 
 def _witness_from_acyclic(t: ProjComplex, special_degree: int,
@@ -195,23 +203,18 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
                           ) -> StableFreenessWitness:
     """Stable-freeness witness for the unique non-free module of an acyclic t.
 
-    The splittings sigma_j of _peel(t, top - 1) make theta = d + sigma its
-    own inverse.  d_(j+1) sigma_j = e~_j, the idempotent left at degree j,
+    The splittings sigma_j of _peel(t, top) make theta = d + sigma its own
+    inverse.  d_(j+1) sigma_j = e~_j, the idempotent left at degree j,
     and sigma_j = sigma_j e~_j, so sigma_j d sigma_j = sigma_j; with
     e~_(j+1) = e_(j+1) - sigma_j d_(j+1) that gives sigma_(j+1) sigma_j =
     sigma_(j+1) (sigma_j - sigma_j d sigma_j) = 0.  Also d sigma + sigma d = e
-    in every degree below the top, and at the top too exactly when the
-    module left there is zero.  Hence theta^2 = d d + d sigma + sigma d +
-    sigma sigma = e.  theta exchanges the odd and the even degrees, so with
+    in every degree below the top, and at the top too since _peel checks
+    that the module left there is zero.  Hence theta^2 = d d + d sigma +
+    sigma d + sigma sigma = e.  theta exchanges the odd and the even degrees, so with
     the special module first among the odd coordinates, iso is theta from
     odd to even and iso_inverse theta from even to odd.
     """
-    lo, hi = t.bottom_degree, t.top_degree
-    sigma, rest = {}, t
-    for j, s, rest in _peel(t, hi - 1):
-        sigma[j] = s
-    if not rest.idem(hi).is_zero:
-        raise ArithmeticError("contraction fails at the top degree")
+    sigma, _ = _peel(t, t.top_degree)
 
     def block(b, a):
         if b == a - 1:
@@ -222,7 +225,7 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
 
     degs = t.degrees()
     theta = Mat.block([[block(b, a) for a in degs] for b in degs])
-    at = {n: sum(t.rank_at(m) for m in range(lo, n)) for n in degs}
+    at = {n: sum(t.rank_at(m) for m in range(degs[0], n)) for n in degs}
 
     def coords(parity):
         return [x for n in degs if n % 2 == parity
@@ -291,21 +294,28 @@ def trim_below(x: ProjComplex, k: int) -> TrimResult:
 
     Each step splits the bottom boundary surjection and replaces the module
     above by the complementary projective summand; homology is preserved.
+    An invalid x raises VerificationFailed with validate_complex's report,
+    a Laurent ring UnsupportedRing, and nonvanishing homology at a degree
+    <= k TrimPreconditionError from _peel.  Each splitting is checked on
+    x's own data, d_(j+1) sigma_j + sigma_(j-1) d_j = e_j, and the result
+    is validated once.
     """
-    h = homology(x)
-    for n in range(x.bottom_degree, k + 1):
-        if h.at(n) != (0, ()):
-            raise TrimPreconditionError(n)
-    cur = x
-    splittings = {}
-    for j, sigma, cur in _peel(x, k):
-        splittings[j] = sigma
-        rep = validate_complex(cur)
-        if not rep.ok:
-            raise ArithmeticError(f"trim produced an invalid complex at {j}")
-    if cur.bottom_degree <= k:      # one acyclic, hence zero, module left
-        cur = ProjComplex(x.ring, k + 1, (), ())
-    return TrimResult(cur, splittings)
+    rep = validate_complex(x)
+    if not rep.ok:
+        raise VerificationFailed("invalid complex", rep)
+    if x.ring.flat_rank is None:
+        raise UnsupportedRing(f"homology over {x.ring.kind} is unsupported")
+    splittings, rest = _peel(x, k)
+    for j, sigma in splittings.items():
+        lhs = x.boundary(j + 1) @ sigma
+        if j - 1 in splittings:
+            lhs = lhs + splittings[j - 1] @ x.boundary(j)
+        if lhs != x.idem(j):
+            raise ArithmeticError(f"trim splitting fails at degree {j}")
+    rep = validate_complex(rest)
+    if not rep.ok:
+        raise ArithmeticError(f"trim result invalid: {rep.as_dict()['violations']}")
+    return TrimResult(rest, splittings)
 
 
 def free_replacement(x: ProjComplex, w: StableFreenessWitness

@@ -210,14 +210,6 @@ class IntegerSolver:
         return basis
 
 
-def solve_int(m: list[list[int]], b: list[int]) -> list[int] | None:
-    return IntegerSolver(m).solve(b)
-
-
-def kernel_basis(m: list[list[int]]) -> list[list[int]]:
-    return IntegerSolver(m).kernel_basis()
-
-
 def image_basis(m: list[list[int]]) -> list[list[int]]:
     """Vectors forming a Z-basis of the column lattice of M."""
     s = smith_normal_form(m)
@@ -230,10 +222,3 @@ def image_basis(m: list[list[int]]) -> list[list[int]]:
             basis.append([dj * s.u_inv[i][j] for i in range(rows)])
     return basis
 
-
-def columns_to_matrix(cols: list[list[int]], rows: int) -> list[list[int]]:
-    out = zeros(rows, len(cols))
-    for j, c in enumerate(cols):
-        for i in range(rows):
-            out[i][j] = c[i]
-    return out

@@ -101,9 +101,6 @@ class Mat:
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
-
     def submatrix(self, rows, cols) -> "Mat":
         """The entries at the given row and column indices, in that order."""
         rows, cols = list(rows), list(cols)
@@ -212,48 +209,27 @@ class Mat:
         return cls(ring, len(ents), 1, ents)
 
 
-def solve_linear(m: Mat, b: Mat) -> Mat | None:
-    """One solution x of m @ x = b over the ring, or None when there is none.
+def solve_linear(m: Mat, rhs: Mat) -> Mat | None:
+    """One X with m @ X = rhs over the ring, or None when there is none.
 
-    Decided exactly through the Smith normal form of the integer flattening.
-    Laurent rings are unsupported.
+    Decided exactly through one Smith normal form of the integer flattening
+    of m, shared by every column of rhs.  Laurent rings are unsupported.
     """
-    return MatrixSolver(m).solve(b)
-
-
-class MatrixSolver:
-    """Factored flattening of a matrix for repeated ring-linear solves."""
-
-    def __init__(self, m: Mat):
-        if m.ring.flat_rank is None:
-            raise UnsupportedRing(f"solving over {m.ring.kind} is unsupported")
-        self.m = m
-        self._solver = intlinalg.IntegerSolver(m.flatten(), m.cols * m.ring.flat_rank)
-
-    def solve(self, b: Mat) -> Mat | None:
-        if b.ring != self.m.ring:
-            raise RingMismatch("right-hand side over the wrong ring")
-        if b.rows != self.m.rows or b.cols != 1:
-            raise ShapeError("right-hand side must be a conformable column")
-        x = self._solver.solve(b.column_coords(0))
+    ring, k = m.ring, m.ring.flat_rank
+    if k is None:
+        raise UnsupportedRing(f"solving over {ring.kind} is unsupported")
+    if rhs.ring != ring:
+        raise RingMismatch("right-hand side over the wrong ring")
+    if rhs.rows != m.rows:
+        raise ShapeError("right-hand side has wrong height")
+    solver = intlinalg.IntegerSolver(m.flatten(), m.cols * k)
+    cols = []
+    for j in range(rhs.cols):
+        x = solver.solve(rhs.column_coords(j))
         if x is None:
             return None
-        return Mat.from_column_coords(self.m.ring, x)
-
-    def solve_matrix(self, rhs: Mat) -> Mat | None:
-        """One X with m @ X = rhs, solved column by column; None if any fails."""
-        if rhs.rows != self.m.rows:
-            raise ShapeError("right-hand side has wrong height")
-        cols = []
-        for j in range(rhs.cols):
-            x = self._solver.solve(
-                Mat(self.m.ring, rhs.rows, 1, rhs.column(j)).column_coords(0))
-            if x is None:
-                return None
-            cols.append(Mat.from_column_coords(self.m.ring, x))
-        if not cols:
-            return Mat.zero(self.m.ring, self.m.cols, 0)
-        return Mat.block([cols])
+        cols.append(Mat.from_column_coords(ring, x))
+    return Mat.block([cols]) if cols else Mat.zero(ring, m.cols, 0)
 
 
 def ring_kernel_coords(m: Mat) -> list[list[int]]:

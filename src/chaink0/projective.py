@@ -172,9 +172,9 @@ class IdealLattice:
         return abs(a0 * b1 - a1 * b0)
 
     def contains(self, elem: RingElement) -> bool:
-        cols = [list(self.basis[0]), list(self.basis[1])]
-        m = [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
-        return intlinalg.solve_int(m, self.ring.coords(elem)) is not None
+        (a0, b0), (a1, b1) = self.basis
+        return intlinalg.IntegerSolver([[a0, a1], [b0, b1]]).solve(
+            self.ring.coords(elem)) is not None
 
     def elements(self) -> tuple[RingElement, RingElement]:
         return (self.ring.from_coords(list(self.basis[0])),
@@ -206,12 +206,8 @@ def ideal_of_module(p: ProjModule) -> IdealLattice:
 def ideal_product(x: IdealLattice, y: IdealLattice) -> IdealLattice:
     """The product ideal, as the lattice spanned by pairwise products."""
     ring = x.ring
-    prods = []
-    for a in x.elements():
-        for b in y.elements():
-            prods.append(ring.coords(a * b))
-    m = intlinalg.columns_to_matrix(prods, 2)
-    basis = intlinalg.image_basis(m)
+    prods = [ring.coords(a * b) for a in x.elements() for b in y.elements()]
+    basis = intlinalg.image_basis([[p[0] for p in prods], [p[1] for p in prods]])
     if len(basis) != 2:
         raise ArithmeticError("degenerate ideal product")
     return IdealLattice(ring, (tuple(basis[0]), tuple(basis[1])))

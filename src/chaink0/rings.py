@@ -162,10 +162,6 @@ class Ring:
         """Matrix of left multiplication by a on the canonical basis."""
         raise UnsupportedRing(f"{self.kind} has no finite regular representation")
 
-    # --- units -----------------------------------------------------------
-    def is_unit(self, a: RingElement) -> bool:
-        raise NotImplementedError
-
     # --- literals ---------------------------------------------------------
     def literal(self, a: RingElement):
         """JSON-compatible literal; parse_literal round-trips bit-exactly."""
@@ -218,9 +214,6 @@ class IntegerRing(Ring):
     def regular_representation(self, a):
         return [[a.data]]
 
-    def is_unit(self, a):
-        return a.data in (1, -1)
-
     def literal(self, a):
         return str(a.data)
 
@@ -263,11 +256,6 @@ class GroupRing(Ring):
         self.order = len(self.table)
         self._validate_table()
         self.flat_rank = self.order
-        self.inverse = [0] * self.order
-        for i in range(self.order):
-            for j in range(self.order):
-                if self.table[i][j] == 0:
-                    self.inverse[i] = j
 
     def _validate_table(self):
         n = self.order
@@ -338,10 +326,6 @@ class GroupRing(Ring):
             for k in range(self.order):
                 m[row[k]][k] += c
         return m
-
-    def is_unit(self, a):
-        # Trivial units only: +-g for a group element g.
-        return len(a.data) == 1 and a.data[0][1] in (1, -1)
 
     def augment(self, a: RingElement) -> int:
         return sum(c for _, c in a.data)
@@ -432,42 +416,6 @@ class LaurentRing(Ring):
     def _is_zero(self, x):
         return x == ()
 
-    def evaluate(self, a: RingElement, u: RingElement) -> RingElement:
-        """Substitute t -> u for a unit u of the base ring."""
-        if a.ring != self:
-            raise RingMismatch("element is not over this Laurent ring")
-        if u.ring != self.base or not self.base.is_unit(u):
-            raise ValueError("evaluation point must be a unit of the base ring")
-        # u_inverse: units here are +-1 or +-g, so invert by sign/group inverse.
-        result = self.base.zero
-        for e, bd in a.data:
-            term = RingElement(self.base, bd)
-            power = self._unit_power(u, e)
-            result = result + term * power
-        return result
-
-    def _unit_power(self, u: RingElement, e: int) -> RingElement:
-        if e >= 0:
-            p = self.base.one
-            for _ in range(e):
-                p = p * u
-            return p
-        uinv = self._unit_inverse(u)
-        p = self.base.one
-        for _ in range(-e):
-            p = p * uinv
-        return p
-
-    def _unit_inverse(self, u: RingElement) -> RingElement:
-        if isinstance(self.base, IntegerRing):
-            return u  # +-1 are self-inverse
-        (idx, c), = u.data
-        return self.base.element([(self.base.inverse[idx], c)])
-
-    def is_unit(self, a):
-        # Monomials u*t^k with u a unit of the base.
-        return len(a.data) == 1 and self.base.is_unit(RingElement(self.base, a.data[0][1]))
-
     def literal(self, a):
         return [[self.base.literal(RingElement(self.base, bd)), e] for e, bd in a.data]
 
@@ -539,10 +487,6 @@ class QuadraticRing(Ring):
     def _is_zero(self, x):
         return x == (0, 0)
 
-    def norm(self, a: RingElement) -> int:
-        x, y = a.data
-        return x * x - self.d * y * y
-
     def conjugate(self, a: RingElement) -> RingElement:
         return RingElement(self, (a.data[0], -a.data[1]))
 
@@ -555,9 +499,6 @@ class QuadraticRing(Ring):
     def regular_representation(self, a):
         x, y = a.data
         return [[x, self.d * y], [y, x]]
-
-    def is_unit(self, a):
-        return self.norm(a) == 1
 
     def literal(self, a):
         return [a.data[0], a.data[1]]
@@ -603,25 +544,6 @@ def ring_from_descriptor(desc: dict) -> Ring:
     if kind == "quadratic":
         return QuadraticRing(desc["d"])
     raise ValueError(f"unknown ring kind: {kind!r}")
-
-
-def augment(a: RingElement) -> int:
-    """Sum of coefficients Z[G] -> Z; a ring homomorphism."""
-    if not isinstance(a.ring, GroupRing):
-        raise UnsupportedRing("augmentation is defined on group rings only")
-    return a.ring.augment(a)
-
-
-def laurent_evaluate(a: RingElement, u: RingElement) -> RingElement:
-    """Evaluate a Laurent element at a unit of the base ring (t -> u)."""
-    if not isinstance(a.ring, LaurentRing):
-        raise UnsupportedRing("evaluation is defined on Laurent rings only")
-    return a.ring.evaluate(a, u)
-
-
-def regular_representation(a: RingElement) -> list[list[int]]:
-    """Integer matrix of left multiplication by a on the canonical basis."""
-    return a.ring.regular_representation(a)
 
 
 # The cyclic group of order two, used throughout the tests and fixtures.

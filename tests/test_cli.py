@@ -89,6 +89,13 @@ def test_invalid_complex_reported_exit_2(capsys, command):
     ["realize", "--input", str(FIXTURES / "ideal.json"), "--name", "ideal",
      "--degree", "-1"],
     ["corpus", "--count", "0"],
+    ["swindle", "--input", str(FIXTURES / "rp2.json"), "--name", "split",
+     "--window", "257"],
+    ["laurent-resolve", "--input", str(FIXTURES / "rp2.json"), "--name", "split",
+     "--window", "257"],
+    ["realize", "--input", str(FIXTURES / "ideal.json"), "--name", "ideal",
+     "--degree", "257"],
+    ["corpus", "--count", "1001"],
 ])
 def test_argument_out_of_range_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -168,15 +175,15 @@ def test_count_field_not_natural_exit_1(tmp_path, capsys, field, module, bottom)
     assert repr(field) in err
 
 
-def run_limited(*argv):
-    """The CLI in a child process with 20 s and 1 GiB of address space, so
-    that unbounded work fails the test instead of hanging it."""
+def run_limited(*argv, timeout=20):
+    """The CLI in a child process with `timeout` seconds and 1 GiB of address
+    space, so that unbounded work fails the test instead of hanging it."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(pathlib.Path(chaink0.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-m", "chaink0.cli", *argv],
-                          capture_output=True, text=True, timeout=20,
+                          capture_output=True, text=True, timeout=timeout,
                           preexec_fn=limit, env=dict(os.environ, PYTHONPATH=src))
 
 
@@ -213,6 +220,16 @@ def test_rank_above_the_cap_exit_1(tmp_path, argv, module, witness):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "at most 1024" in proc.stderr
+
+
+def test_trim_far_above_the_top_does_constant_work():
+    """--below 10^9 on the two-term cone peels its two degrees and stops:
+    the work does not grow with --below."""
+    proc = run_limited("trim", "--input", str(FIXTURES / "bad.json"),
+                       "--name", "cone", "--below", "1000000000", timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["complex"] == {
+        "bottom_degree": 1000000001, "boundaries": [], "modules": []}
 
 
 C2_DESC = {"kind": "group_ring", "table": [[0, 1], [1, 0]]}
@@ -253,6 +270,18 @@ def test_document_contract_exit_1(tmp_path, capsys, doc):
     code, out, err = run(capsys, "verify", "--input", str(path), "--name", "X")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("below", ["-5", "0", "1000000000"])
+def test_trim_rejects_laurent_ring_exit_1(tmp_path, capsys, below):
+    """A ring with no finite flattening is rejected before any peeling,
+    wherever --below lies."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(point_doc(
+        {"kind": "laurent", "base": {"kind": "integers"}}, [["1", 0]])))
+    code, out, err = run(capsys, "trim", "--input", str(path), "--name", "X",
+                         "--below", below)
+    assert (code, out, err) == (1, "", "error: homology over laurent is unsupported\n")
 
 
 def test_unresolved_name_exit_1(capsys):

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
-                               homology, mapping_cone, validate_complex,
-                               verify_chain_map, verify_homotopy)
+                               direct_sum, homology, mapping_cone,
+                               validate_complex, verify_chain_map,
+                               verify_homotopy)
 from chaink0.corpus import (corpus_dominations, random_domination,
                             random_free_complex)
 from chaink0.instant import (Domination, TrimPreconditionError, _peel,
@@ -252,9 +253,7 @@ def test_peel_splittings_contract_acyclic_cones(seed, ring):
               load_workloads().nontrivial_domination(rng, ring)):
         cones.append(mapping_cone(build_instant(d).u))
     for t in cones:
-        sigma, rest = {}, t
-        for j, s, rest in _peel(t, t.top_degree - 1):
-            sigma[j] = s
+        sigma, rest = _peel(t, t.top_degree - 1)
         assert sorted(sigma) == list(t.degrees())[:-1]
         assert rest.idem(t.top_degree).is_zero
 
@@ -269,8 +268,9 @@ def test_peel_splittings_contract_acyclic_cones(seed, ring):
 
 def test_witness_rejects_complex_not_acyclic_at_top():
     x = ProjComplex.free_complex(ZZ, 0, [1, 2], [Mat.from_rows(ZZ, [[1, 0]])])
-    with pytest.raises(ArithmeticError, match="top degree"):
+    with pytest.raises(TrimPreconditionError) as exc:
         _witness_from_acyclic(x, 1, 0, ProjModule.free(ZZ, 2))
+    assert exc.value.degree == 1
 
 
 def test_trim_contractible_cone():
@@ -311,6 +311,53 @@ def test_trim_preserves_homology_on_corpus():
             assert got == expect
         checked += 1
     assert checked >= 3
+
+
+def times_two_spliced(x):
+    """x plus R --2--> R in degrees b + 2 and b + 1, b the bottom degree of
+    x: homology gains 2-torsion at b + 1 and is unchanged elsewhere."""
+    b, ring = x.bottom_degree, x.ring
+    return direct_sum(x, ProjComplex.free_complex(ring, b + 1, [1, 1],
+                                                  [Mat.from_rows(ring, [[2]])]))
+
+
+@pytest.mark.parametrize("ring_name", ["integers", "c2"])
+def test_trim_raises_exactly_below_nonvanishing_homology(ring_name):
+    """For every k from bottom - 1 to top + 1, trim_below(x, k) raises
+    TrimPreconditionError(n) exactly when H(x) is nonzero at some degree
+    <= k, n the least one; otherwise its splittings satisfy d sigma +
+    sigma d = e up to min(k, top).  x runs over corpus A and C complexes,
+    cones of identities, and each of them with a x2 boundary spliced in."""
+    ring = {"integers": ZZ, "c2": C2}[ring_name]
+    rng = random.Random(f"trim:{ring_name}")
+    xs = [c for d in corpus_dominations(seed=5, count=4, ring_name=ring_name)
+          for c in (d.A, d.C)]
+    xs += [mapping_cone(ChainMap.identity(random_free_complex(rng, ring)))
+           for _ in range(3)]
+    xs += [times_two_spliced(x) for x in xs]
+    raised = peeled = 0
+    for x in xs:
+        h = homology(x)
+        bad = [n for n in x.degrees() if h.at(n) != (0, ())]
+        lo, hi = x.bottom_degree, x.top_degree
+        for k in range(lo - 1, hi + 2):
+            if bad and bad[0] <= k:
+                with pytest.raises(TrimPreconditionError) as exc:
+                    trim_below(x, k)
+                assert exc.value.degree == bad[0]
+                raised += 1
+                continue
+            sigma = trim_below(x, k).splittings
+            assert sorted(sigma) == list(range(lo, min(k, hi - 1) + 1))
+
+            def sig(j):
+                return sigma.get(j, Mat.zero(ring, x.rank_at(j + 1), x.rank_at(j)))
+
+            for j in range(lo, min(k, hi) + 1):
+                assert (x.boundary(j + 1) @ sig(j) + sig(j - 1) @ x.boundary(j)
+                        == x.idem(j))
+            peeled += 1
+    assert raised and peeled
 
 
 def test_free_replacement_trivial():

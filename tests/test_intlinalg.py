@@ -8,6 +8,15 @@ def random_matrix(rng, rows, cols, bound):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
+def kernel_basis(m):
+    return il.IntegerSolver(m).kernel_basis()
+
+
+def columns_to_matrix(cols, rows):
+    """The rows x len(cols) matrix with the given vectors as its columns."""
+    return [[c[i] for c in cols] for i in range(rows)]
+
+
 def assert_snf_postconditions(m, cols=None):
     rows = len(m)
     if cols is None:
@@ -72,22 +81,22 @@ def test_solver_on_consistent_systems():
         m = random_matrix(rng, rows, cols, 9)
         x = [rng.randint(-5, 5) for _ in range(cols)]
         b = [sum(m[i][j] * x[j] for j in range(cols)) for i in range(rows)]
-        got = il.solve_int(m, b)
+        got = il.IntegerSolver(m).solve(b)
         assert got is not None
         assert [sum(m[i][j] * got[j] for j in range(cols))
                 for i in range(rows)] == b
 
 
 def test_solver_detects_no_solution():
-    assert il.solve_int([[2]], [3]) is None
-    assert il.solve_int([[2]], [4]) == [2]
+    assert il.IntegerSolver([[2]]).solve([3]) is None
+    assert il.IntegerSolver([[2]]).solve([4]) == [2]
 
 
 def test_kernel_basis():
-    k = il.kernel_basis([[1, 1]])
+    k = kernel_basis([[1, 1]])
     assert len(k) == 1 and k[0][0] == -k[0][1]
-    assert il.kernel_basis(il.eye(3)) == []
-    assert il.kernel_basis([[2, 4], [6, 8]]) == []
+    assert kernel_basis(il.eye(3)) == []
+    assert kernel_basis([[2, 4], [6, 8]]) == []
 
 
 def test_kernel_completeness():
@@ -97,9 +106,9 @@ def test_kernel_completeness():
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
         m = random_matrix(rng, rows, cols, 5)
         s = il.smith_normal_form(m, cols)
-        kern = il.kernel_basis(m)
+        kern = kernel_basis(m)
         pre = [[s.v[i][j] for i in range(cols)] for j in range(s.rank)]
-        full = il.columns_to_matrix(kern + pre, cols)
+        full = columns_to_matrix(kern + pre, cols)
         assert il.smith_normal_form(full, cols).rank == cols
 
 
@@ -112,6 +121,6 @@ def test_image_basis_spans_columns():
         if not basis:
             assert all(all(v == 0 for v in row) for row in m)
             continue
-        span = il.IntegerSolver(il.columns_to_matrix(basis, rows), len(basis))
+        span = il.IntegerSolver(columns_to_matrix(basis, rows), len(basis))
         for col in ([m[i][j] for i in range(rows)] for j in range(cols)):
             assert span.solve(col) is not None

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaink0.rings import (C2, ZZ, GroupRing, LaurentRing, QuadraticRing,
-                           RingMismatch, UnsupportedRing, augment,
-                           laurent_evaluate, regular_representation,
-                           ring_from_descriptor)
+                           RingMismatch, UnsupportedRing, ring_from_descriptor)
 
 Q5 = QuadraticRing(-5)
 LZ = LaurentRing(ZZ)
@@ -79,45 +77,31 @@ def test_group_inverse():
 @settings(max_examples=50, deadline=None)
 @given(c2_elems(), c2_elems())
 def test_augment_multiplicative(a, b):
-    assert augment(a * b) == augment(a) * augment(b)
-    assert augment(a + b) == augment(a) + augment(b)
+    assert C2.augment(a * b) == C2.augment(a) * C2.augment(b)
+    assert C2.augment(a + b) == C2.augment(a) + C2.augment(b)
 
 
 def test_augment_examples():
     # 2g - 3h with g the identity, h the generator
     a = C2.from_coords([2, -3])
-    assert augment(a) == -1
-    assert augment(C2.zero) == 0
-    assert augment(C2.one) == 1
-
-
-def test_laurent_evaluate():
-    t = LZ.t()
-    one = LZ.one
-    assert laurent_evaluate(one - t, ZZ.from_int(1)) == ZZ.zero
-    assert laurent_evaluate(one - t, ZZ.from_int(-1)) == ZZ.from_int(2)
-    a = LZ.from_int(3) * t * t - LZ.t(-1)
-    assert laurent_evaluate(a, ZZ.from_int(1)) == ZZ.from_int(2)
-
-
-def test_laurent_evaluate_rejects_nonunit():
-    with pytest.raises((ValueError, UnsupportedRing)):
-        laurent_evaluate(LZ.t(), ZZ.from_int(2))
+    assert C2.augment(a) == -1
+    assert C2.augment(C2.zero) == 0
+    assert C2.augment(C2.one) == 1
 
 
 def test_regular_representation_examples():
-    assert regular_representation(C2.one) == [[1, 0], [0, 1]]
-    assert regular_representation(C2.generator(1)) == [[0, 1], [1, 0]]
-    assert regular_representation(Q5.sqrt_d()) == [[0, -5], [1, 0]]
+    assert C2.regular_representation(C2.one) == [[1, 0], [0, 1]]
+    assert C2.regular_representation(C2.generator(1)) == [[0, 1], [1, 0]]
+    assert Q5.regular_representation(Q5.sqrt_d()) == [[0, -5], [1, 0]]
 
 
 @settings(max_examples=50, deadline=None)
 @given(c2_elems(), c2_elems())
 def test_regular_representation_multiplicative(a, b):
-    ra, rb = regular_representation(a), regular_representation(b)
+    ra, rb = C2.regular_representation(a), C2.regular_representation(b)
     prod = [[sum(ra[i][k] * rb[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)]
-    assert regular_representation(a * b) == prod
+    assert C2.regular_representation(a * b) == prod
 
 
 def test_ring_mismatch_rejected():
