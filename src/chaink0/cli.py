@@ -110,7 +110,8 @@ def _rejected(code: str, **fields) -> tuple[dict, bool]:
 
 # Caps on the flags whose work grows with their value, so that no flag asks
 # for unbounded work; the README gives the time each takes at its cap.
-MAX_WINDOW, MAX_DEGREE, MAX_COUNT = 256, 256, 1000
+# laurent-resolve also caps its module's flattened ambient rank times --window.
+MAX_WINDOW, MAX_DEGREE, MAX_COUNT, MAX_FLAT_WINDOW = 256, 256, 1000, 512
 
 
 def _in_range(args, dest: str, low: int, high: int) -> int:
@@ -178,7 +179,10 @@ def _free_replace(args, ws, x):
 
 
 def _laurent_resolve(args, ws, p):
-    cx, chk = laurent_resolution(p, _in_range(args, "window", 1, MAX_WINDOW))
+    window = _in_range(args, "window", 1, MAX_WINDOW)
+    if (size := p.ambient_rank * (p.ring.flat_rank or 1) * window) > MAX_FLAT_WINDOW:
+        raise DocumentError(f"flat rank times --window must be at most {MAX_FLAT_WINDOW}, got {size}")
+    cx, chk = laurent_resolution(p, window)
     return {"complex": complex_literal(cx, ws.ring),
             "window_check": chk.as_dict()}, chk.ok
 

@@ -25,10 +25,16 @@ class Mat:
         for e in entries:
             if not isinstance(e, RingElement) or e.ring != ring:
                 raise RingMismatch("entry over the wrong ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        for name, value in zip(Mat.__slots__, (ring, rows, cols, entries)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, ring: Ring, rows: int, cols: int, entries) -> "Mat":
+        """Unchecked: the entries are already rows * cols RingElements over ring."""
+        m = object.__new__(cls)
+        for name, value in zip(Mat.__slots__, (ring, rows, cols, tuple(entries))):
+            object.__setattr__(m, name, value)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("matrices are immutable")
@@ -49,13 +55,12 @@ class Mat:
 
     @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "Mat":
-        z = ring.zero
-        return cls(ring, rows, cols, [z] * (rows * cols))
+        return cls._of(ring, rows, cols, [ring.zero] * (rows * cols))
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Mat":
         z, o = ring.zero, ring.one
-        return cls(ring, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls._of(ring, n, n, [o if i == j else z for i in range(n) for j in range(n)])
 
     @classmethod
     def block(cls, grid) -> "Mat":
@@ -75,7 +80,7 @@ class Mat:
             for i in range(h):
                 for b in row_blocks:
                     entries.extend(b.entries[i * b.cols:(i + 1) * b.cols])
-        return cls(ring, sum(rb[0].rows for rb in grid), sum(col_widths), entries)
+        return cls._of(ring, sum(rb[0].rows for rb in grid), sum(col_widths), entries)
 
     @classmethod
     def diag(cls, ring: Ring, *blocks) -> "Mat":
@@ -91,7 +96,7 @@ class Mat:
                 at = (top + i) * cols + left
                 entries[at:at + b.cols] = b.row(i)
             top, left = top + b.rows, left + b.cols
-        return cls(ring, rows, cols, entries)
+        return cls._of(ring, rows, cols, entries)
 
     # --- access -------------------------------------------------------------
     def __getitem__(self, ij) -> RingElement:
@@ -105,40 +110,43 @@ class Mat:
         """The entries at the given row and column indices, in that order."""
         rows, cols = list(rows), list(cols)
         e, w = self.entries, self.cols
-        return Mat(self.ring, len(rows), len(cols),
-                   [e[i * w + j] for i in rows for j in cols])
+        return Mat._of(self.ring, len(rows), len(cols),
+                       [e[i * w + j] for i in rows for j in cols])
 
     # --- arithmetic -----------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        return Mat(self.ring, self.rows, self.cols,
-                   [a + b for a, b in zip(self.entries, other.entries)])
+        return Mat._of(self.ring, self.rows, self.cols,
+                       [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)
-        return Mat(self.ring, self.rows, self.cols,
-                   [a - b for a, b in zip(self.entries, other.entries)])
+        return Mat._of(self.ring, self.rows, self.cols,
+                       [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Mat":
-        return Mat(self.ring, self.rows, self.cols, [-a for a in self.entries])
+        return Mat._of(self.ring, self.rows, self.cols, [-a for a in self.entries])
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        if self.ring != other.ring:
+        """The product on raw ring data, skipping zero entries on both sides."""
+        ring = self.ring
+        if ring != other.ring:
             raise RingMismatch("matrix product over different rings")
         if self.cols != other.rows:
             raise ShapeError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        z = self.ring.zero
+        mul, add, is_zero = ring._mul, ring._add, ring._is_zero
+        b_rows = [[(j, y.data) for j, y in enumerate(other.row(k)) if not is_zero(y.data)]
+                  for k in range(self.cols)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = ri[k]
-                    if not a.is_zero:
-                        acc = acc + a * other[k, j]
-                out.append(acc)
-        return Mat(self.ring, self.rows, other.cols, out)
+            acc = [None] * other.cols
+            for x, b_row in zip(self.row(i), b_rows):
+                if not is_zero(x.data):
+                    for j, y in b_row:
+                        p = mul(x.data, y)
+                        acc[j] = p if acc[j] is None else add(acc[j], p)
+            out.extend(ring.zero if v is None else RingElement(ring, v) for v in acc)
+        return Mat._of(ring, self.rows, other.cols, out)
 
     def scale(self, c: RingElement) -> "Mat":
         return Mat(self.ring, self.rows, self.cols, [c * a for a in self.entries])
@@ -156,15 +164,15 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return (self.ring == other.ring and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+        return (self.rows == other.rows and self.cols == other.cols and self.ring == other.ring
+                and [a.data for a in self.entries] == [b.data for b in other.entries])
 
     def __hash__(self):
         return hash((self.ring, self.rows, self.cols, self.entries))
 
     @property
     def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.entries)
+        return all(map(self.ring._is_zero, [a.data for a in self.entries]))
 
     def is_idempotent(self) -> bool:
         return self.rows == self.cols and (self @ self) == self

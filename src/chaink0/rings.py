@@ -230,7 +230,7 @@ class IntegerRing(Ring):
         return {"kind": "integers"}
 
     def __eq__(self, other):
-        return isinstance(other, IntegerRing)
+        return self is other or isinstance(other, IntegerRing)
 
     def __hash__(self):
         return hash("integers")
@@ -347,7 +347,7 @@ class GroupRing(Ring):
         return {"kind": "group_ring", "table": [list(r) for r in self.table]}
 
     def __eq__(self, other):
-        return isinstance(other, GroupRing) and self.table == other.table
+        return self is other or (isinstance(other, GroupRing) and self.table == other.table)
 
     def __hash__(self):
         return hash(("group_ring", self.table))
@@ -437,7 +437,7 @@ class LaurentRing(Ring):
         return {"kind": "laurent", "base": self.base.descriptor()}
 
     def __eq__(self, other):
-        return isinstance(other, LaurentRing) and self.base == other.base
+        return self is other or (isinstance(other, LaurentRing) and self.base == other.base)
 
     def __hash__(self):
         return hash(("laurent", self.base))
@@ -515,7 +515,7 @@ class QuadraticRing(Ring):
         return {"kind": "quadratic", "d": self.d}
 
     def __eq__(self, other):
-        return isinstance(other, QuadraticRing) and self.d == other.d
+        return self is other or (isinstance(other, QuadraticRing) and self.d == other.d)
 
     def __hash__(self):
         return hash(("quadratic", self.d))
@@ -531,6 +531,10 @@ def _json_int(x) -> int:
     return x
 
 
+# The largest group order a descriptor may give: table validation is cubic in it.
+MAX_GROUP_ORDER = 128
+
+
 def ring_from_descriptor(desc: dict) -> Ring:
     if not isinstance(desc, dict):
         raise ValueError("ring descriptor must be a JSON object")
@@ -538,6 +542,8 @@ def ring_from_descriptor(desc: dict) -> Ring:
     if kind == "integers":
         return ZZ
     if kind == "group_ring":
+        if (order := len(desc["table"])) > MAX_GROUP_ORDER:
+            raise ValueError(f"group order must be at most {MAX_GROUP_ORDER}, got {order}")
         return GroupRing(desc["table"])
     if kind == "laurent":
         return LaurentRing(ring_from_descriptor(desc["base"]))

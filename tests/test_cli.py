@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import chaink0
-from chaink0 import cli, complexes, constructions, instant, projective
+from chaink0 import cli, complexes, constructions, instant, projective, rings
 from chaink0.cli import main
 from chaink0.corpus import corpus_dominations, generate_corpus
 from chaink0.documents import canonical_json
@@ -230,6 +230,48 @@ def test_trim_far_above_the_top_does_constant_work():
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["complex"] == {
         "bottom_degree": 1000000001, "boundaries": [], "modules": []}
+
+
+def free_module_doc(tmp_path, ring, rank):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"ring": ring, "modules": {
+        "p": {"ambient_rank": rank, "idempotent": "free"}}}))
+    return str(doc)
+
+
+@pytest.mark.parametrize("ring, rank, window, code", [
+    ({"kind": "integers"}, 8, 256, 1),
+    ({"kind": "integers"}, 5, 103, 1),
+    (rings.C2.descriptor(), 3, 86, 1),
+    (rings.C2.descriptor(), 3, 85, 0),
+], ids=["z-8x256", "z-5x103", "c2-6x86", "c2-6x85-allowed"])
+def test_laurent_flat_rank_times_window_capped(tmp_path, ring, rank, window, code):
+    """laurent-resolve refuses, before building anything, a module whose
+    flattened ambient rank times --window exceeds cli.MAX_FLAT_WINDOW."""
+    proc = run_limited("laurent-resolve", "--input", free_module_doc(tmp_path, ring, rank),
+                       "--name", "p", "--window", str(window), timeout=30)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"error: flat rank times --window must be at most "
+                                      f"{cli.MAX_FLAT_WINDOW}, got ")
+    else:
+        assert proc.stderr == "" and json.loads(proc.stdout)["window_check"]["injective"]
+
+
+@pytest.mark.parametrize("nest", [False, True], ids=["group-ring", "laurent-base"])
+def test_group_order_above_the_cap_exit_1(tmp_path, nest):
+    """A multiplication table of order MAX_GROUP_ORDER + 1 is refused before
+    its cubic validation runs."""
+    n = rings.MAX_GROUP_ORDER + 1
+    ring = {"kind": "group_ring", "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+    if nest:
+        ring = {"kind": "laurent", "base": ring}
+    proc = run_limited("verify", "--input", free_module_doc(tmp_path, ring, 1), "--name", "p",
+                       timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (f"error: bad ring descriptor: group order must be at most "
+                           f"{rings.MAX_GROUP_ORDER}, got {n}\n")
 
 
 C2_DESC = {"kind": "group_ring", "table": [[0, 1], [1, 0]]}

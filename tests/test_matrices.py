@@ -5,9 +5,18 @@ import pytest
 
 from chaink0 import intlinalg as il
 from chaink0.matrices import Mat, ShapeError, ring_kernel_coords, solve_linear
-from chaink0.rings import C2, ZZ, LaurentRing, QuadraticRing, RingMismatch, UnsupportedRing
+from chaink0.rings import (C2, ZZ, GroupRing, LaurentRing, QuadraticRing, RingMismatch,
+                           UnsupportedRing, ring_from_descriptor)
 
 Q5 = QuadraticRing(-5)
+C3 = GroupRing([[(i + j) % 3 for j in range(3)] for i in range(3)])
+# Both of order four, with different tables.
+C4 = GroupRing([[(i + j) % 4 for j in range(4)] for i in range(4)])
+V4 = GroupRing([[i ^ j for j in range(4)] for i in range(4)])
+FINITE_RINGS = (ZZ, C2, C3, Q5)
+KERNEL_RINGS = FINITE_RINGS + (LaurentRing(ZZ), LaurentRing(C2))
+# (rows of A, cols of A = rows of B, cols of B), empty shapes included.
+SHAPES = ((2, 3, 2), (3, 3, 3), (1, 4, 2), (0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0))
 
 
 def random_mat(rng, ring, rows, cols, bound=4):
@@ -112,3 +121,75 @@ def test_ring_kernel_coords():
             for v in ring_kernel_coords(m):
                 col = Mat.from_column_coords(ring, v)
                 assert (m @ col).is_zero
+
+
+def random_elem(rng, ring, bound=3):
+    """A random element, zero about a third of the time."""
+    if rng.random() < 0.3:
+        return ring.zero
+    if isinstance(ring, LaurentRing):
+        return ring.element([(e, random_elem(rng, ring.base, bound).data)
+                             for e in range(-1, 2)])
+    return ring.from_coords([rng.randint(-bound, bound) for _ in range(ring.flat_rank)])
+
+
+def random_entries_mat(rng, ring, rows, cols, zero=False):
+    return Mat(ring, rows, cols, [ring.zero if zero else random_elem(rng, ring)
+                                  for _ in range(rows * cols)])
+
+
+def entrywise_product(a, b):
+    """A @ B as sums of RingElement products, the reference for the kernel."""
+    return Mat(a.ring, a.rows, b.cols,
+               [sum((a[i, k] * b[k, j] for k in range(a.cols)), a.ring.zero)
+                for i in range(a.rows) for j in range(b.cols)])
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=repr)
+def test_product_kernel_matches_entrywise_products(ring):
+    rng = random.Random(f"kernel:{ring!r}")
+    for m, n, p in SHAPES:
+        for zero in (False, True):
+            a = random_entries_mat(rng, ring, m, n, zero)
+            b = random_entries_mat(rng, ring, n, p)
+            c = random_entries_mat(rng, ring, p, 2)
+            ab = a @ b
+            assert (ab.rows, ab.cols) == (m, p)
+            assert ab == entrywise_product(a, b)
+            assert all(x.ring == ring for x in ab.entries)
+            assert ab.is_zero == all(x.is_zero for x in ab.entries)
+            assert (a @ b) @ c == a @ (b @ c)
+            # A matrix with no rows has no column count as an int list, so the
+            # flattening identity is compared only where the inner size is > 0.
+            if ring in FINITE_RINGS and n:
+                assert ab.flatten() == il.mat_mul(a.flatten(), b.flatten())
+
+
+def test_entries_over_another_ring_rejected():
+    with pytest.raises(RingMismatch):
+        Mat(ZZ, 1, 2, [ZZ.one, C2.one])
+    with pytest.raises(RingMismatch):
+        Mat(C4, 1, 1, [V4.one])
+
+
+def test_product_of_group_rings_of_equal_order_rejected():
+    with pytest.raises(RingMismatch):
+        Mat.identity(C4, 2) @ Mat.identity(V4, 2)
+    # Same raw data, different rings: not equal.
+    assert Mat.identity(C4, 2) != Mat.identity(V4, 2)
+
+
+def test_block_over_mixed_rings_rejected():
+    with pytest.raises(RingMismatch):
+        Mat.block([[Mat.identity(ZZ, 1), Mat.identity(C2, 1)]])
+    with pytest.raises(RingMismatch):
+        Mat.block([[Mat.identity(C4, 1)], [Mat.identity(V4, 1)]])
+
+
+def test_equal_rings_from_different_parses_multiply():
+    fresh = ring_from_descriptor(C2.descriptor())
+    assert fresh is not C2 and fresh == C2
+    rng = random.Random(4)
+    a = random_entries_mat(rng, C2, 3, 3)
+    b = Mat(fresh, 3, 3, [fresh.from_coords(C2.coords(x)) for x in a.entries])
+    assert a == b and a @ b == b @ a == a @ a == b @ b
