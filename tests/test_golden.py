@@ -48,6 +48,48 @@ CONE_COUNT = 6
 # free-replace on the reductions of the corpus dominations dom0..dom7.
 REPLACE_COUNT = CORPUS_COUNT
 
+# A valid literal, then one that equals it as a Python value or as an
+# integer but must still be rejected: (ring descriptor, extension, valid, bad).
+C2_DESC = C2.descriptor()
+MEMO_LITERALS = {
+    "z-true": ({"kind": "integers"}, None, "1", True),
+    "z-float": ({"kind": "integers"}, None, "1", 1.0),
+    "z-int": ({"kind": "integers"}, None, "1", 1),
+    "z-leading-zero": ({"kind": "integers"}, None, "1", "01"),
+    "z-minus-zero": ({"kind": "integers"}, None, "0", "-0"),
+    "c2-true": (C2_DESC, None, [[1, 0]], [[True, 0]]),
+    "c2-float": (C2_DESC, None, [[1, 0]], [[1.0, 0]]),
+    "c2-index-true": (C2_DESC, None, [[1, 1]], [[1, True]]),
+    "c2-index-range": (C2_DESC, None, [[1, 1]], [[1, 2]]),
+    "c2-index-negative": (C2_DESC, None, [[1, 1]], [[1, -1]]),
+    "laurent-base-true": ({"kind": "integers"}, "laurent", [["1", 0]], [[True, 0]]),
+    "laurent-exponent-true": ({"kind": "integers"}, "laurent", [["1", 1]], [["1", True]]),
+    "laurent-exponent-float": ({"kind": "integers"}, "laurent", [["1", 1]], [["1", 1.0]]),
+    "laurent-leading-zero": ({"kind": "integers"}, "laurent", [["1", 0]], [["01", 0]]),
+    "laurent-c2-index-range": (C2_DESC, "laurent", [[[[1, 1]], 0]], [[[[1, 2]], 0]]),
+    "quadratic-true": ({"kind": "quadratic", "d": -5}, None, [1, 0], [True, 0]),
+    "quadratic-float": ({"kind": "quadratic", "d": -5}, None, [1, 0], [1.0, 0]),
+}
+
+
+def memo_literal(ring, extension, valid, bad, same_matrix: bool) -> dict:
+    """Complexes W and X: the valid literal first, then the bad one, either in
+    one 1 x 2 boundary of X or in the boundaries of W and X (parsed in order)."""
+    free = {"ambient_rank": 1, "idempotent": "free"}
+
+    def point_pair(*entries):
+        lit = {"bottom_degree": 0, "modules": [free, {"ambient_rank": len(entries),
+                                                      "idempotent": "free"}],
+               "boundaries": [{"rows": 1, "cols": len(entries), "entries": list(entries)}]}
+        return dict(lit, extension=extension) if extension else lit
+
+    if same_matrix:
+        complexes = {"X": point_pair(valid, bad)}
+    else:
+        complexes = {"W": point_pair(valid), "X": point_pair(bad)}
+    return {"ring": ring, "complexes": complexes}
+
+
 # Z, A = C = Z in degree 0, i = 1, r = 0, s = 0: the homotopy 1 - ri = 1
 # is not witnessed, so the domination is invalid.
 INVALID = {
@@ -169,6 +211,11 @@ def write_documents(docs: pathlib.Path) -> None:
         text = canonical_json(replace_literal(ring))
         (docs / f"replace-{ring}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
+    for name, (ring, extension, valid, bad) in MEMO_LITERALS.items():
+        for same in (True, False):
+            text = canonical_json(memo_literal(ring, extension, valid, bad, same))
+            (docs / f"memo-{name}-{'one' if same else 'two'}.json").write_text(
+                text, encoding="utf-8")
 
 
 def cases(docs: pathlib.Path) -> dict:
@@ -224,6 +271,10 @@ def cases(docs: pathlib.Path) -> dict:
                 out[f"free-replace replace-{ring} {x}{k} --witness w{k}"] = [
                     "free-replace", "--input", doc, "--name", f"{x}{k}",
                     "--witness", f"w{k}"]
+    for name in MEMO_LITERALS:
+        for where in ("one", "two"):
+            out[f"verify memo-{name}-{where} X"] = [
+                "verify", "--input", str(docs / f"memo-{name}-{where}.json"), "--name", "X"]
     return out
 
 
