@@ -8,6 +8,7 @@ input, unresolved references, or unsupported-ring operations.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from typing import Callable, NamedTuple
@@ -258,7 +259,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and reused by every main call."""
     p = argparse.ArgumentParser(
         prog="chaink0",
         description="chain-level finiteness-obstruction engine")

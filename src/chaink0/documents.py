@@ -27,6 +27,9 @@ class DocumentError(ValueError):
 # witness's a or b: a "free" module and a witness's stabilizer are built as
 # identity matrices of that size.
 MAX_RANK = 1024
+# The largest flattened rank (ambient rank times the ring's flat rank) of a
+# non-free module, whose idempotent is checked by one cubic Mat product.
+MAX_IDEMPOTENT_FLAT_RANK = 60
 
 
 def canonical_json(obj) -> str:
@@ -99,25 +102,37 @@ def _count(lit, key, cap=None) -> int:
     return v
 
 
-def parse_matrix(lit, ring: Ring) -> Mat:
+def parse_matrix(lit, ring: Ring, memo: dict | None = None) -> Mat:
+    """memo, one per parse_workspace call, maps a ring to the first equal
+    ring object seen and its elements by repr(literal), so that a document
+    parses each distinct literal once and equal rings share one object.
+    repr tells true, 1.0, 1 and "1" apart; a failed literal is never stored."""
     rows = _count(lit, "rows")
     cols = _count(lit, "cols")
     entries = _expect(lit, "entries", list)
     if len(entries) != rows * cols:
         raise DocumentError(f"matrix needs {rows * cols} entries, got {len(entries)}")
+    ring, known = (ring, {}) if memo is None else memo.setdefault(ring, (ring, {}))
+    elems = []
     try:
-        elems = [ring.parse_literal(e) for e in entries]
+        for e in entries:
+            if (a := known.get(key := repr(e))) is None:
+                a = known[key] = ring.parse_literal(e)
+            elems.append(a)
     except (ValueError, TypeError, KeyError, IndexError) as ex:
         raise DocumentError(f"bad ring-element literal: {ex}") from ex
-    return Mat(ring, rows, cols, elems)
+    return Mat._of(ring, rows, cols, elems)
 
 
-def parse_module(lit, ring: Ring) -> ProjModule:
+def parse_module(lit, ring: Ring, memo: dict | None = None) -> ProjModule:
     rank = _count(lit, "ambient_rank", MAX_RANK)
     idem = _expect(lit, "idempotent")
     if idem == "free":
         return ProjModule.free(ring, rank)
-    m = parse_matrix(idem, ring)
+    if (flat := rank * (ring.flat_rank or 1)) > MAX_IDEMPOTENT_FLAT_RANK:
+        raise DocumentError(f"field 'ambient_rank' of a non-free module: flattened rank "
+                            f"must be at most {MAX_IDEMPOTENT_FLAT_RANK}, got {flat}")
+    m = parse_matrix(idem, ring, memo)
     if m.rows != rank:
         raise DocumentError("idempotent size disagrees with ambient_rank")
     if not m.is_idempotent():
@@ -125,12 +140,12 @@ def parse_module(lit, ring: Ring) -> ProjModule:
     return ProjModule(m)
 
 
-def parse_complex(lit, ring: Ring) -> ProjComplex:
+def parse_complex(lit, ring: Ring, memo: dict | None = None) -> ProjComplex:
     bottom = _expect(lit, "bottom_degree", int)
     if lit.get("extension") == "laurent":
         ring = LaurentRing(ring)
-    mods = [parse_module(m, ring) for m in _expect(lit, "modules", list)]
-    bnds = [parse_matrix(b, ring) for b in _expect(lit, "boundaries", list)]
+    mods = [parse_module(m, ring, memo) for m in _expect(lit, "modules", list)]
+    bnds = [parse_matrix(b, ring, memo) for b in _expect(lit, "boundaries", list)]
     try:
         return ProjComplex(ring, bottom, mods, bnds)
     except (ShapeError, RingMismatch) as ex:
@@ -175,7 +190,7 @@ def _table(raw: dict, key: str) -> list:
 def parse_workspace(text: str) -> Workspace:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as ex:
+    except (ValueError, RecursionError) as ex:  # also too many digits or too deep
         raise DocumentError(f"not valid JSON: {ex}") from ex
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object")
@@ -183,11 +198,11 @@ def parse_workspace(text: str) -> Workspace:
         ring = ring_from_descriptor(_expect(raw, "ring", dict))
     except (ValueError, TypeError, KeyError) as ex:
         raise DocumentError(f"bad ring descriptor: {ex}") from ex
-    ws = Workspace(ring, raw)
+    ws, memo = Workspace(ring, raw), {}
     for name, lit in _table(raw, "modules"):
-        ws.modules[name] = parse_module(lit, ring)
+        ws.modules[name] = parse_module(lit, ring, memo)
     for name, lit in _table(raw, "complexes"):
-        ws.complexes[name] = parse_complex(lit, ring)
+        ws.complexes[name] = parse_complex(lit, ring, memo)
 
     for key, table, cls, what in (("maps", ws.maps, ChainMap, "map"),
                                   ("homotopies", ws.homotopies, Homotopy, "homotopy")):
@@ -200,7 +215,7 @@ def parse_workspace(text: str) -> Workspace:
                     deg = int(ds)
                 except ValueError as ex:
                     raise DocumentError(f"bad degree key {ds!r}") from ex
-                comps[deg] = parse_matrix(mlit, src.ring)
+                comps[deg] = parse_matrix(mlit, src.ring, memo)
             try:
                 table[name] = cls(src, tgt, comps)
             except (ShapeError, RingMismatch) as ex:
@@ -208,8 +223,8 @@ def parse_workspace(text: str) -> Workspace:
     for name, lit in _table(raw, "witnesses"):
         ws.witnesses[name] = StableFreenessWitness(
             _count(lit, "a", MAX_RANK), _count(lit, "b", MAX_RANK),
-            parse_matrix(_expect(lit, "iso"), ring),
-            parse_matrix(_expect(lit, "iso_inverse"), ring))
+            parse_matrix(_expect(lit, "iso"), ring, memo),
+            parse_matrix(_expect(lit, "iso_inverse"), ring, memo))
     for name, lit in _table(raw, "dominations"):
         ws.dominations[name] = Domination(
             A=_ref(ws.complexes, _expect(lit, "A"), "complex"),

@@ -183,11 +183,14 @@ class IntegerSolver:
         self.rows = len(m)
         self.cols = cols if cols is not None else (len(m[0]) if self.rows else 0)
         self.snf = smith_normal_form(m, self.cols)
+        # The non-zero (k, x) of each row of u and v: solve sums over these.
+        self._u, self._v = ([[(k, x) for k, x in enumerate(row) if x] for row in t]
+                            for t in (self.snf.u, self.snf.v))
 
     def solve(self, b: list[int]) -> list[int] | None:
         """One solution of M @ x = b over Z, or None."""
         s = self.snf
-        ub = [sum(s.u[i][k] * b[k] for k in range(self.rows)) for i in range(self.rows)]
+        ub = [sum(x * b[k] for k, x in row) for row in self._u]
         y = [0] * self.cols
         n = min(self.rows, self.cols)
         for i in range(self.rows):
@@ -197,7 +200,7 @@ class IntegerSolver:
                 y[i] = ub[i] // s.d[i][i]
             elif ub[i] != 0:
                 return None
-        return [sum(s.v[i][k] * y[k] for k in range(self.cols)) for i in range(self.cols)]
+        return [sum(x * y[k] for k, x in row) for row in self._v]
 
     def kernel_basis(self) -> list[list[int]]:
         """Columns (as vectors) forming a Z-basis of ker(M)."""

@@ -256,6 +256,7 @@ class GroupRing(Ring):
         self.order = len(self.table)
         self._validate_table()
         self.flat_rank = self.order
+        self._hash = hash(("group_ring", self.table))   # documents key a memo by ring
 
     def _validate_table(self):
         n = self.order
@@ -350,7 +351,7 @@ class GroupRing(Ring):
         return self is other or (isinstance(other, GroupRing) and self.table == other.table)
 
     def __hash__(self):
-        return hash(("group_ring", self.table))
+        return self._hash
 
     def __repr__(self):
         return f"Z[G{self.order}]"

@@ -448,3 +448,76 @@ def test_obstruction_checks_each_claim_once(tmp_path, capsys, monkeypatch):
                      "validate_complex": 3,        # A, C and K
                      "verify_chain_map": 4,        # i, r, j and u; not u again in the cone
                      "verify_stable_freeness": 1}
+
+
+def test_idempotent_above_the_flat_rank_cap_exit_1(tmp_path):
+    """A non-free module whose ambient rank times the ring's flat rank is
+    above documents.MAX_IDEMPOTENT_FLAT_RANK is refused before its
+    idempotent is parsed or multiplied; one at the cap is checked."""
+    from chaink0.documents import MAX_IDEMPOTENT_FLAT_RANK as cap
+
+    def verify(ring, rank, one, entry):
+        idem = {"rows": rank, "cols": rank, "entries": [one] + [entry] * (rank * rank - 1)}
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"ring": ring, "modules": {
+            "p": {"ambient_rank": rank, "idempotent": idem}}}))
+        return run_limited("verify", "--input", str(doc), "--name", "p", timeout=30)
+
+    for ring, rank, one, zero in (({"kind": "integers"}, cap + 1, "1", "0"),
+                                  (rings.C2.descriptor(), cap // 2 + 1, [[1, 0]], [])):
+        proc = verify(ring, rank, one, zero)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (f"error: field 'ambient_rank' of a non-free module: "
+                               f"flattened rank must be at most {cap}, got "
+                               f"{rank * (2 if zero == [] else 1)}\n")
+    proc = verify({"kind": "integers"}, cap, "1", "0")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["report"]["ok"] is True
+
+
+def cached_parser_sequence(tmp: pathlib.Path, out_name: str) -> list:
+    """Commands mixing formats, --output, --class-bound and argparse
+    rejections, each writing its report to `tmp/out_name` when it has
+    --output."""
+    ideal, rp2, bad = (str(FIXTURES / n) for n in ("ideal.json", "rp2.json", "bad.json"))
+    out = str(tmp / out_name)
+    return [
+        ["verify", "--input", ideal, "--name", "dom1"],
+        ["obstruction", "--input", ideal, "--name", "dom1", "--class-bound", "3"],
+        ["homology", "--input", rp2, "--name", "X", "--format", "text"],
+        ["obstruction", "--input", ideal, "--name", "dom1", "--bogus"],
+        ["trim", "--input", bad, "--name", "cone", "--below", "0", "--output", out],
+        ["corpus", "--count", "2", "--ring", "c2", "--format", "text"],
+        ["verify", "--name", "dom1"],
+        ["obstruction", "--input", ideal, "--name", "dom1"],
+        ["realize", "--input", ideal, "--name", "ideal", "--degree", "1",
+         "--class-bound", "2", "--output", out, "--format", "text"],
+        ["laurent-resolve", "--input", rp2, "--name", "split", "--window", "300"],
+        ["swindle", "--input", rp2, "--name", "split", "--window", "2"],
+        ["trim", "--input", bad, "--name", "cone"],
+        ["homology", "--input", rp2, "--name", "X"],
+    ]
+
+
+def test_cached_parser_matches_a_fresh_process(tmp_path, capsys):
+    """One process runs the sequence through cli.main and its one parser;
+    every call gives the exit code, stdout, stderr and output file of the
+    same command in a fresh child process."""
+    inline, child = (cached_parser_sequence(tmp_path, n) for n in ("inline.out", "child.out"))
+    codes, outputs = set(), 0
+    for argv, child_argv in zip(inline, child):
+        for f in ("inline.out", "child.out"):
+            (tmp_path / f).unlink(missing_ok=True)
+        try:
+            code = main(list(argv))
+        except SystemExit as ex:
+            code = ex.code
+        out, err = capsys.readouterr()
+        proc = run_limited(*child_argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        written = [tmp_path / f for f in ("inline.out", "child.out") if (tmp_path / f).exists()]
+        assert len(written) in (0, 2), argv
+        if written:
+            assert written[0].read_bytes() == written[1].read_bytes()
+            outputs += 1
+        codes.add(code)
+    assert codes == {0, 1, 2} and outputs == 2

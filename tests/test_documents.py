@@ -4,12 +4,17 @@ import pathlib
 
 import pytest
 
-from chaink0.documents import (DocumentError, canonical_json, matrix_literal,
+from chaink0 import documents, rings
+from chaink0.complexes import ChainMap, Homotopy, ProjModule
+from chaink0.constructions import algebraic_mapping_torus, laurent_resolution
+from chaink0.corpus import corpus_dominations, generate_corpus
+from chaink0.documents import (DocumentError, Workspace, canonical_json, matrix_literal,
                                parse_complex, parse_matrix, parse_module,
                                parse_workspace, workspace_literal)
 from chaink0.instant import verify_domination
 from chaink0.matrices import Mat
 from chaink0.rings import C2, ZZ, LaurentRing, QuadraticRing
+from test_golden import nontrivial_literal, perturbed_literal
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 Q5 = QuadraticRing(-5)
@@ -125,3 +130,102 @@ def test_round_trip_is_idempotent():
             assert ws2.complexes[key] == ws.complexes[key]
         for key in ws.modules:
             assert ws2.modules[key].idem == ws.modules[key].idem
+
+
+
+def laurent_literal(ring) -> dict:
+    """Two Laurent complexes (the (1-t)+1 resolution of a non-free module and
+    the mapping torus of an identity) and maps on them, over ring."""
+    p = ProjModule(Mat.from_rows(ring, [[1, 1], [0, 0]]))
+    a = corpus_dominations(0, 1, "integers" if ring == ZZ else "c2")[0].A
+    ws = Workspace(ring, {})
+    ws.complexes["R"] = res = laurent_resolution(p, 2)[0]
+    ws.complexes["T"] = torus = algebraic_mapping_torus(ChainMap.identity(a))
+    ws.maps["idR"], ws.maps["idT"] = ChainMap.identity(res), ChainMap.identity(torus)
+    ws.homotopies["zT"] = Homotopy.zero(torus)
+    return workspace_literal(ws)
+
+
+def memo_documents():
+    """Fixture, corpus, s != 0, perturbed and Laurent documents."""
+    for name in ("ideal.json", "rp2.json", "bad.json"):
+        yield fixture_text(name)
+    for seed in (0, 1, 2):
+        for ring in ("integers", "c2"):
+            yield canonical_json(generate_corpus(seed, 4, ring))
+    for ring in ("integers", "c2"):
+        yield canonical_json(nontrivial_literal(ring))
+        yield canonical_json(perturbed_literal(ring))
+    for ring in (ZZ, C2):
+        yield canonical_json(laurent_literal(ring))
+
+
+def test_memoised_parse_equals_a_literal_by_literal_parse(monkeypatch):
+    """Every matrix parse_workspace builds equals the one built entry by
+    entry through the ring's parse_literal and the checking Mat
+    constructor, and every entry lies over the matrix's own ring object."""
+    seen = []
+
+    def recording(lit, ring, memo=None):
+        m = parse_matrix(lit, ring, memo)
+        seen.append((lit, ring, m))
+        return m
+
+    monkeypatch.setattr(documents, "parse_matrix", recording)
+    kinds = set()
+    for text in memo_documents():
+        seen.clear()
+        parse_workspace(text)
+        assert seen
+        for lit, ring, m in seen:
+            want = Mat(ring, lit["rows"], lit["cols"],
+                       [ring.parse_literal(e) for e in lit["entries"]])
+            assert m == want and m.ring == ring
+            assert all(e.ring is m.ring for e in m.entries)
+            kinds.add(ring.kind)
+    assert kinds == {"integers", "group_ring", "laurent", "quadratic"}
+
+
+def entry_literals(raw) -> list:
+    """Every matrix-entry literal of a JSON document."""
+    if isinstance(raw, dict):
+        own = raw["entries"] if isinstance(raw.get("entries"), list) else []
+        return own + [e for v in raw.values() for e in entry_literals(v)]
+    if isinstance(raw, list):
+        return [e for v in raw for e in entry_literals(v)]
+    return []
+
+
+def test_parse_makes_one_parse_literal_call_per_distinct_literal(monkeypatch):
+    """Counted at the top level: a Laurent literal's own parse also parses
+    its base literals."""
+    calls, depth = [], [0]
+    for cls in (rings.IntegerRing, rings.GroupRing, rings.LaurentRing, rings.QuadraticRing):
+        def counting(self, lit, _parse=cls.parse_literal):
+            calls.extend([lit] if depth[0] == 0 else [])
+            depth[0] += 1
+            try:
+                return _parse(self, lit)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(cls, "parse_literal", counting)
+    shared = 0
+    for text in memo_documents():
+        calls.clear()
+        parse_workspace(text)
+        entries = entry_literals(json.loads(text))
+        distinct = {json.dumps(e) for e in entries}
+        assert 0 < len(calls) <= len(distinct)
+        shared += len(entries) > len(distinct)
+    assert shared >= 10
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"ring": {"kind": "integers"}, "x": ' + "1" * 5000 + "}",
+     "not valid JSON: Exceeds the limit"),
+    ('{"ring": {"kind": "integers"}, "x": ' + "[" * 5000 + "]" * 5000 + "}",
+     "not valid JSON: maximum recursion depth exceeded"),
+], ids=["integer-digits", "nesting"])
+def test_json_past_python_limits_is_a_document_error(text, message):
+    with pytest.raises(DocumentError, match=message):
+        parse_workspace(text)

@@ -124,3 +124,59 @@ def test_image_basis_spans_columns():
         span = il.IntegerSolver(columns_to_matrix(basis, rows), len(basis))
         for col in ([m[i][j] for i in range(rows)] for j in range(cols)):
             assert span.solve(col) is not None
+
+
+def dense_solve(s, rows, cols, b):
+    """IntegerSolver.solve's dense formula: y = D^-1 (U b), x = V y."""
+    ub = [sum(s.u[i][k] * b[k] for k in range(rows)) for i in range(rows)]
+    y = [0] * cols
+    for i in range(rows):
+        if i < min(rows, cols) and s.d[i][i] != 0:
+            if ub[i] % s.d[i][i] != 0:
+                return None
+            y[i] = ub[i] // s.d[i][i]
+        elif ub[i] != 0:
+            return None
+    return [sum(s.v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+
+
+def criterion_9_matrices():
+    """The 1000 matrices of acceptance criterion 9, drawn the same way."""
+    rng = random.Random(99)
+    for _ in range(1000):
+        rows, cols = rng.randrange(0, 13), rng.randrange(0, 13)
+        yield [[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)], cols
+
+
+def seeded_systems():
+    """Empty, rank-deficient and random systems (matrix, cols)."""
+    rng = random.Random(14)
+    yield [], 0
+    yield [], 4                         # 0 x 4
+    yield [[], [], []], 0               # 3 x 0
+    for _ in range(200):
+        rows, cols = rng.randrange(0, 7), rng.randrange(0, 7)
+        m = random_matrix(rng, rows, cols, rng.choice([1, 3, 9]))
+        if rows > 1 and rng.random() < 0.5:        # rank-deficient: repeat a row
+            m[-1] = [2 * x for x in m[0]]
+        yield m, cols
+    yield from criterion_9_matrices()
+
+
+def test_sparse_solve_matches_the_dense_formula():
+    """solve sums over the stored non-zero entries of u and v: it satisfies
+    M x = b and equals the dense formula, with or without a solution."""
+    rng = random.Random(7)
+    outcomes = set()
+    for m, cols in seeded_systems():
+        rows = len(m)
+        solver = il.IntegerSolver(m, cols)
+        x = [rng.randint(-5, 5) for _ in range(cols)]
+        for b in ([sum(m[i][j] * x[j] for j in range(cols)) for i in range(rows)],
+                  [rng.randint(-9, 9) for _ in range(rows)]):
+            got = solver.solve(b)
+            assert got == dense_solve(solver.snf, rows, cols, b)
+            if got is not None:
+                assert [sum(m[i][j] * got[j] for j in range(cols)) for i in range(rows)] == b
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
