@@ -463,13 +463,13 @@ def test_idempotent_above_the_flat_rank_cap_exit_1(tmp_path):
             "p": {"ambient_rank": rank, "idempotent": idem}}}))
         return run_limited("verify", "--input", str(doc), "--name", "p", timeout=30)
 
-    for ring, rank, one, zero in (({"kind": "integers"}, cap + 1, "1", "0"),
-                                  (rings.C2.descriptor(), cap // 2 + 1, [[1, 0]], [])):
+    for ring, flat, one, zero in (({"kind": "integers"}, 1, "1", "0"),
+                                  (rings.C2.descriptor(), 2, [[1, 0]], [])):
+        rank = cap // flat + 1
         proc = verify(ring, rank, one, zero)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == (f"error: field 'ambient_rank' of a non-free module: "
-                               f"flattened rank must be at most {cap}, got "
-                               f"{rank * (2 if zero == [] else 1)}\n")
+                               f"flattened rank must be at most {cap}, got {rank * flat}\n")
     proc = verify({"kind": "integers"}, cap, "1", "0")
     assert proc.returncode == 0 and json.loads(proc.stdout)["report"]["ok"] is True
 

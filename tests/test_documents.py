@@ -132,7 +132,6 @@ def test_round_trip_is_idempotent():
             assert ws2.modules[key].idem == ws.modules[key].idem
 
 
-
 def laurent_literal(ring) -> dict:
     """Two Laurent complexes (the (1-t)+1 resolution of a non-free module and
     the mapping torus of an identity) and maps on them, over ring."""
@@ -202,7 +201,8 @@ def test_parse_makes_one_parse_literal_call_per_distinct_literal(monkeypatch):
     calls, depth = [], [0]
     for cls in (rings.IntegerRing, rings.GroupRing, rings.LaurentRing, rings.QuadraticRing):
         def counting(self, lit, _parse=cls.parse_literal):
-            calls.extend([lit] if depth[0] == 0 else [])
+            if depth[0] == 0:
+                calls.append(lit)
             depth[0] += 1
             try:
                 return _parse(self, lit)

@@ -1,7 +1,8 @@
-"""Mutation fuzz of the CLI contract: documents built from the fixtures and a
-ℤ[C₂] corpus document with one or two fields replaced from a fixed pool of
-values.  Every case must end in exit 0, 1 or 2, with no traceback, one
-`error:` line on exit 1, and within a per-case deadline.
+"""Mutation fuzz of the CLI contract: the parseable fixtures and a ℤ[C₂]
+corpus document with one or two fields replaced, each by a value from a
+fixed pool or by a value taken from elsewhere in the same document.  Every
+case must end in exit 0, 1 or 2, with no traceback, one `error:` line on
+exit 1, and within a per-case deadline.
 """
 import contextlib
 import copy
