@@ -29,6 +29,7 @@ from chaink0.documents import Workspace, canonical_json, workspace_literal
 from chaink0.instant import build_instant, finiteness_obstruction
 from chaink0.matrices import Mat
 from chaink0.rings import C2, ZZ
+from groups import S3
 from perturbations import perturb
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -47,6 +48,12 @@ LAURENT_WINDOWS = (1, 2, 8, 24)
 CONE_COUNT = 6
 # free-replace on the reductions of the corpus dominations dom0..dom7.
 REPLACE_COUNT = CORPUS_COUNT
+
+# Seeded Z[S3] dominations, each also perturbed; over a non-abelian group
+# ring a product with its operands swapped changes the reports.
+S3_COUNT = 4
+# laurent-resolve windows on a Z[S3] idempotent; swindle takes the largest.
+S3_WINDOWS = (1, 4)
 
 # A valid literal, then one that equals it as a Python value or as an
 # integer but must still be rejected: (ring descriptor, extension, valid, bad).
@@ -163,6 +170,23 @@ def laurent_literal(ring_name: str) -> dict:
     return workspace_literal(ws)
 
 
+def s3_literal(perturbed: bool) -> dict:
+    """dom<k> = random_domination(Random("golden-s3:<k>"), S3), perturbed by
+    Random("golden-s3-perturb:<k>") when asked, and the idempotent q0."""
+    ws = Workspace(S3, {})
+    for k in range(S3_COUNT):
+        d = random_domination(random.Random(f"golden-s3:{k}"), S3)
+        if perturbed:
+            d = perturb(d, random.Random(f"golden-s3-perturb:{k}"))
+        ws.complexes[f"A{k}"], ws.complexes[f"C{k}"] = d.A, d.C
+        ws.maps[f"i{k}"], ws.maps[f"r{k}"] = d.i, d.r
+        ws.homotopies[f"s{k}"] = d.s
+        ws.dominations[f"dom{k}"] = d
+    ws.modules["q0"] = ProjModule(load_workloads().random_idempotent(
+        random.Random("idempotent:s3:0"), S3))
+    return workspace_literal(ws)
+
+
 @functools.cache
 def identity_cones(ring_name: str) -> tuple:
     """CONE_COUNT acyclic complexes cone(1_B), seeded by the ring name."""
@@ -210,6 +234,9 @@ def write_documents(docs: pathlib.Path) -> None:
         (docs / f"cones-{ring}.json").write_text(text, encoding="utf-8")
         text = canonical_json(replace_literal(ring))
         (docs / f"replace-{ring}.json").write_text(text, encoding="utf-8")
+    for name, perturbed in (("s3", False), ("perturbed-s3", True)):
+        text = canonical_json(s3_literal(perturbed))
+        (docs / f"{name}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
     for name, (ring, extension, valid, bad) in MEMO_LITERALS.items():
         for same in (True, False):
@@ -250,6 +277,10 @@ def cases(docs: pathlib.Path) -> dict:
             for k in range(PERTURBED_COUNT):
                 out[f"{cmd} perturbed-{ring} dom{k}"] = [
                     cmd, "--input", doc, "--name", f"dom{k}"]
+        for name in ("s3", "perturbed-s3"):
+            for k in range(S3_COUNT):
+                out[f"{cmd} {name} dom{k}"] = [
+                    cmd, "--input", str(docs / f"{name}.json"), "--name", f"dom{k}"]
         out[f"{cmd} invalid dom"] = [
             cmd, "--input", str(docs / "invalid.json"), "--name", "dom"]
     for ring in CORPUS_RINGS:
@@ -271,6 +302,12 @@ def cases(docs: pathlib.Path) -> dict:
                 out[f"free-replace replace-{ring} {x}{k} --witness w{k}"] = [
                     "free-replace", "--input", doc, "--name", f"{x}{k}",
                     "--witness", f"w{k}"]
+    doc = str(docs / "s3.json")
+    for w in S3_WINDOWS:
+        out[f"laurent-resolve s3 q0 --window {w}"] = [
+            "laurent-resolve", "--input", doc, "--name", "q0", "--window", str(w)]
+    out[f"swindle s3 q0 --window {S3_WINDOWS[-1]}"] = [
+        "swindle", "--input", doc, "--name", "q0", "--window", str(S3_WINDOWS[-1])]
     for name in MEMO_LITERALS:
         for where in ("one", "two"):
             out[f"verify memo-{name}-{where} X"] = [

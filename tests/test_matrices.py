@@ -7,14 +7,16 @@ from chaink0 import intlinalg as il
 from chaink0.matrices import Mat, ShapeError, ring_kernel_coords, solve_linear
 from chaink0.rings import (C2, ZZ, GroupRing, LaurentRing, QuadraticRing, RingMismatch,
                            UnsupportedRing, ring_from_descriptor)
+from groups import S3
 
 Q5 = QuadraticRing(-5)
 C3 = GroupRing([[(i + j) % 3 for j in range(3)] for i in range(3)])
 # Both of order four, with different tables.
 C4 = GroupRing([[(i + j) % 4 for j in range(4)] for i in range(4)])
 V4 = GroupRing([[i ^ j for j in range(4)] for i in range(4)])
-FINITE_RINGS = (ZZ, C2, C3, Q5)
-KERNEL_RINGS = FINITE_RINGS + (LaurentRing(ZZ), LaurentRing(C2))
+# S3 is the one non-abelian group: only it tells g h from h g.
+FINITE_RINGS = (ZZ, C2, C3, Q5, S3)
+KERNEL_RINGS = FINITE_RINGS + (LaurentRing(ZZ), LaurentRing(C2), LaurentRing(S3))
 # (rows of A, cols of A = rows of B, cols of B), empty shapes included.
 SHAPES = ((2, 3, 2), (3, 3, 3), (1, 4, 2), (0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0))
 
@@ -54,7 +56,7 @@ def test_shape_errors():
 
 def test_flatten_multiplicative():
     rng = random.Random(1)
-    for ring in (ZZ, C2, Q5):
+    for ring in FINITE_RINGS:
         for _ in range(20):
             a = random_mat(rng, ring, 2, 3)
             b = random_mat(rng, ring, 3, 2)
@@ -106,6 +108,16 @@ def test_solve_linear_matches_brute_force():
             assert m @ exact == b
 
 
+def test_solve_linear_solves_consistent_systems():
+    rng = random.Random(5)
+    for ring in FINITE_RINGS:
+        for _ in range(10):
+            m = random_mat(rng, ring, 2, 3, bound=2)
+            b = m @ random_mat(rng, ring, 3, 2, bound=2)
+            x = solve_linear(m, b)
+            assert x is not None and m @ x == b
+
+
 def test_solve_linear_rejects_laurent():
     lz = LaurentRing(ZZ)
     m = Mat.identity(lz, 1)
@@ -115,7 +127,7 @@ def test_solve_linear_rejects_laurent():
 
 def test_ring_kernel_coords():
     rng = random.Random(3)
-    for ring in (ZZ, C2, Q5):
+    for ring in FINITE_RINGS:
         for _ in range(15):
             m = random_mat(rng, ring, 2, 3)
             for v in ring_kernel_coords(m):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from chaink0.rings import (C2, ZZ, GroupRing, LaurentRing, QuadraticRing,
                            RingMismatch, UnsupportedRing, ring_from_descriptor)
+from groups import PERMUTATIONS, S3
 
 Q5 = QuadraticRing(-5)
 LZ = LaurentRing(ZZ)
@@ -18,6 +19,10 @@ def c2_elems():
 def q5_elems():
     return st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
         lambda ab: Q5.from_coords(list(ab)))
+
+
+def s3_elems():
+    return st.lists(st.integers(-9, 9), min_size=6, max_size=6).map(S3.from_coords)
 
 
 def laurent_elems():
@@ -39,6 +44,27 @@ def test_group_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + (-a) == C2.zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(s3_elems(), s3_elems(), s3_elems())
+def test_group_ring_axioms_s3(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert (a * b) * c == a * (b * c)
+    assert a + (-a) == S3.zero
+    assert a * S3.one == S3.one * a == a
+
+
+def test_s3_products_compose_permutations():
+    for i, p in enumerate(PERMUTATIONS):
+        for j, q in enumerate(PERMUTATIONS):
+            k = PERMUTATIONS.index(tuple(p[q[x]] for x in range(3)))
+            assert S3.generator(i) * S3.generator(j) == S3.generator(k)
+    # (0 1)(1 2) != (1 2)(0 1)
+    a, b = S3.generator(PERMUTATIONS.index((1, 0, 2))), S3.generator(1)
+    assert a * b != b * a
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,6 +130,15 @@ def test_regular_representation_multiplicative(a, b):
     assert C2.regular_representation(a * b) == prod
 
 
+@settings(max_examples=50, deadline=None)
+@given(s3_elems(), s3_elems())
+def test_regular_representation_multiplicative_s3(a, b):
+    ra, rb = S3.regular_representation(a), S3.regular_representation(b)
+    prod = [[sum(ra[i][k] * rb[k][j] for k in range(6)) for j in range(6)]
+            for i in range(6)]
+    assert S3.regular_representation(a * b) == prod
+
+
 def test_ring_mismatch_rejected():
     with pytest.raises(RingMismatch):
         ZZ.one + C2.one
@@ -137,11 +172,17 @@ def test_literal_round_trip_c2(a):
 
 
 @settings(max_examples=40, deadline=None)
+@given(s3_elems())
+def test_literal_round_trip_s3(a):
+    assert S3.parse_literal(S3.literal(a)) == a
+
+
+@settings(max_examples=40, deadline=None)
 @given(laurent_elems())
 def test_literal_round_trip_laurent(a):
     assert LZ.parse_literal(LZ.literal(a)) == a
 
 
 def test_descriptor_round_trip():
-    for ring in (ZZ, C2, Q5, LZ, LC2):
+    for ring in (ZZ, C2, S3, Q5, LZ, LC2, LaurentRing(S3)):
         assert ring_from_descriptor(ring.descriptor()) == ring
