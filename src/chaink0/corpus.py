@@ -71,7 +71,7 @@ def generate_corpus(seed: int, count: int, ring_name: str = "integers") -> dict:
                          f"options: {sorted(_RINGS)}")
     ring = _RINGS[ring_name]
     rng = random.Random(f"{seed}:{ring_name}")
-    ws = Workspace(ring, {})
+    ws = Workspace(ring)
     for idx in range(count):
         d = random_domination(rng, ring)
         ws.complexes[f"A{idx}"] = d.A

@@ -30,6 +30,9 @@ MAX_RANK = 1024
 # The largest flattened rank (ambient rank times the ring's flat rank) of a
 # non-free module, whose idempotent is checked by one cubic Mat product.
 MAX_IDEMPOTENT_FLAT_RANK = 60
+# The most flattened terms (Laurent terms times the base's rank over Z) in a
+# non-free Laurent module's idempotent: the product's time grows with their square.
+MAX_IDEMPOTENT_TERMS = 1000
 
 
 def canonical_json(obj) -> str:
@@ -135,6 +138,10 @@ def parse_module(lit, ring: Ring, memo: dict | None = None) -> ProjModule:
     m = parse_matrix(idem, ring, memo)
     if m.rows != rank:
         raise DocumentError("idempotent size disagrees with ambient_rank")
+    if isinstance(ring, LaurentRing) and (terms := ring.base.flat_rank * sum(
+            len(a.data) for a in m.entries)) > MAX_IDEMPOTENT_TERMS:
+        raise DocumentError(f"field 'idempotent' of a non-free module: flattened Laurent "
+                            f"terms must be at most {MAX_IDEMPOTENT_TERMS}, got {terms}")
     if not m.is_idempotent():
         raise DocumentError("module matrix is not idempotent")
     return ProjModule(m)
@@ -155,9 +162,9 @@ def parse_complex(lit, ring: Ring, memo: dict | None = None) -> ProjComplex:
 class Workspace:
     """A parsed document: the ring plus name-resolved object tables."""
 
-    def __init__(self, ring: Ring, raw: dict):
+    def __init__(self, ring: Ring, _source: dict | None = None):
+        # bench/workloads.py still passes the source object; it is not kept.
         self.ring = ring
-        self.raw = raw
         self.modules: dict[str, ProjModule] = {}
         self.complexes: dict[str, ProjComplex] = {}
         self.maps: dict[str, ChainMap] = {}
@@ -198,7 +205,7 @@ def parse_workspace(text: str) -> Workspace:
         ring = ring_from_descriptor(_expect(raw, "ring", dict))
     except (ValueError, TypeError, KeyError) as ex:
         raise DocumentError(f"bad ring descriptor: {ex}") from ex
-    ws, memo = Workspace(ring, raw), {}
+    ws, memo = Workspace(ring), {}
     for name, lit in _table(raw, "modules"):
         ws.modules[name] = parse_module(lit, ring, memo)
     for name, lit in _table(raw, "complexes"):

@@ -18,11 +18,9 @@ def rank(p: ProjModule) -> int:
     """The K0(Z) coordinate of [p]: a nonnegative integer, additive on sums."""
     ring = p.ring
     e = p.idem
-    if isinstance(ring, IntegerRing):
-        return sum(ring.coords(e[i, i])[0] for i in range(e.rows))
     if isinstance(ring, GroupRing):
         return sum(ring.augment(e[i, i]) for i in range(e.rows))
-    if isinstance(ring, QuadraticRing):
+    if isinstance(ring, (IntegerRing, QuadraticRing)):
         return sum(ring.coords(e[i, i])[0] for i in range(e.rows))
     raise UnsupportedRing(f"rank over {ring.kind} is unsupported")
 

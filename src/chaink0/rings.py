@@ -5,11 +5,14 @@ given by an explicit multiplication table, Laurent extensions R[t, t^-1] of
 the first two, and imaginary quadratic rings Z[sqrt(d)] with d < 0 squarefree.
 All coefficients are arbitrary-precision integers; no operation ever divides.
 
-Elements are immutable and kept in canonical form (support sorted, no zero
-coefficients), so equality is structural.
+Elements are immutable and kept in canonical form, so equality is
+structural: an integer is an int, an element of Z[G] or Z[sqrt(d)] is the
+tuple of its integer coordinates, and a Laurent element is the sorted tuple
+of its (exponent, base data) terms with nonzero base data.
 """
 from __future__ import annotations
 
+import operator
 import re
 from functools import cached_property
 
@@ -39,9 +42,8 @@ def _is_squarefree(n: int) -> bool:
 class RingElement:
     """A canonical element of one of the supported rings.
 
-    Arithmetic is delegated to the owning ring; mixing rings raises
-    RingMismatch.  Python ints are accepted on either side of + - * and are
-    coerced through the ring's canonical Z -> R map.
+    Arithmetic is delegated to the owning ring and takes ring elements only;
+    mixing rings raises RingMismatch.
     """
 
     __slots__ = ("ring", "data")
@@ -53,49 +55,32 @@ class RingElement:
     def __setattr__(self, name, value):
         raise AttributeError("ring elements are immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{self.ring} vs {other.ring}")
-            return other
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        return NotImplemented
+    def _same_ring(self, other) -> bool:
+        if not isinstance(other, RingElement):
+            return False
+        if other.ring != self.ring:
+            raise RingMismatch(f"{self.ring} vs {other.ring}")
+        return True
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not self._same_ring(other):
             return NotImplemented
-        return RingElement(self.ring, self.ring._add(self.data, o.data))
-
-    __radd__ = __add__
+        return RingElement(self.ring, self.ring._add(self.data, other.data))
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not self._same_ring(other):
             return NotImplemented
-        return RingElement(self.ring, self.ring._add(self.data, self.ring._neg(o.data)))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring._add(o.data, self.ring._neg(self.data)))
+        return RingElement(self.ring, self.ring._add(self.data, self.ring._neg(other.data)))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not self._same_ring(other):
             return NotImplemented
-        return RingElement(self.ring, self.ring._mul(self.data, o.data))
-
-    __rmul__ = __mul__
+        return RingElement(self.ring, self.ring._mul(self.data, other.data))
 
     def __neg__(self):
         return RingElement(self.ring, self.ring._neg(self.data))
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
         if not isinstance(other, RingElement):
             return NotImplemented
         return self.ring == other.ring and self.data == other.data
@@ -112,16 +97,27 @@ class RingElement:
 
 
 class Ring:
-    """Descriptor of a coefficient ring; also the factory for its elements."""
+    """Descriptor of a coefficient ring; also the factory for its elements.
+
+    Each ring provides from_int, the raw-data arithmetic _add, _mul, _neg and
+    _is_zero, and the literal codec literal, parse_literal, format and
+    descriptor.  Two rings are equal exactly when their keys are.
+    """
 
     kind: str = ""
+    key: tuple = ()
+    # flat_rank is the rank of the ring as a Z-lattice; None when unbounded.
+    flat_rank: int | None = None
 
-    # --- element construction -------------------------------------------
-    def element(self, data) -> RingElement:
-        return RingElement(self, self._canon(data))
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Ring) and self.key == other.key)
 
-    def from_int(self, n: int) -> RingElement:
-        raise NotImplementedError
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.key)
 
     @cached_property
     def zero(self) -> RingElement:
@@ -131,26 +127,7 @@ class Ring:
     def one(self) -> RingElement:
         return self.from_int(1)
 
-    # --- raw-data arithmetic --------------------------------------------
-    def _canon(self, data):
-        raise NotImplementedError
-
-    def _add(self, x, y):
-        raise NotImplementedError
-
-    def _mul(self, x, y):
-        raise NotImplementedError
-
-    def _neg(self, x):
-        raise NotImplementedError
-
-    def _is_zero(self, x) -> bool:
-        raise NotImplementedError
-
     # --- integer-lattice structure --------------------------------------
-    # flat_rank is the rank of the ring as a Z-lattice; None when unbounded.
-    flat_rank: int | None = None
-
     def coords(self, a: RingElement) -> list[int]:
         """Coordinates of a on the canonical integer basis."""
         raise UnsupportedRing(f"{self.kind} has no finite integer basis")
@@ -162,33 +139,16 @@ class Ring:
         """Matrix of left multiplication by a on the canonical basis."""
         raise UnsupportedRing(f"{self.kind} has no finite regular representation")
 
-    # --- literals ---------------------------------------------------------
-    def literal(self, a: RingElement):
-        """JSON-compatible literal; parse_literal round-trips bit-exactly."""
-        raise NotImplementedError
-
-    def parse_literal(self, lit) -> RingElement:
-        raise NotImplementedError
-
-    def format(self, a: RingElement) -> str:
-        raise NotImplementedError
-
-    def descriptor(self) -> dict:
-        """JSON-compatible ring descriptor (used by the document format)."""
-        raise NotImplementedError
-
 
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class IntegerRing(Ring):
-    kind = "integers"
-    flat_rank = 1
+    """Z; an element's data is a plain int."""
 
-    def _canon(self, data):
-        if not isinstance(data, int):
-            raise TypeError("integer ring data must be int")
-        return data
+    kind = "integers"
+    key = ("integers",)
+    flat_rank = 1
 
     def from_int(self, n: int) -> RingElement:
         return RingElement(self, n)
@@ -229,12 +189,6 @@ class IntegerRing(Ring):
     def descriptor(self):
         return {"kind": "integers"}
 
-    def __eq__(self, other):
-        return self is other or isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("integers")
-
     def __repr__(self):
         return "Z"
 
@@ -242,11 +196,34 @@ class IntegerRing(Ring):
 ZZ = IntegerRing()
 
 
-class GroupRing(Ring):
+class _LatticeRing(Ring):
+    """A ring that is a free Z-module of rank flat_rank whose first basis
+    vector is 1; an element's data is the tuple of its coordinates."""
+
+    def from_int(self, n):
+        return RingElement(self, (n,) + (0,) * (self.flat_rank - 1))
+
+    def _add(self, x, y):
+        return tuple(map(operator.add, x, y))
+
+    def _neg(self, x):
+        return tuple(map(operator.neg, x))
+
+    def _is_zero(self, x):
+        return not any(x)
+
+    def coords(self, a):
+        return list(a.data)
+
+    def from_coords(self, v):
+        return RingElement(self, tuple(v))
+
+
+class GroupRing(_LatticeRing):
     """Z[G] for a finite group given by a multiplication table on indices.
 
     table[i][j] is the index of g_i * g_j; index 0 must be the identity.
-    Elements are stored as sorted tuples of (index, coeff) with coeff != 0.
+    An element's data is its coefficients on g_0, ..., g_(n-1).
     """
 
     kind = "group_ring"
@@ -256,7 +233,7 @@ class GroupRing(Ring):
         self.order = len(self.table)
         self._validate_table()
         self.flat_rank = self.order
-        self._hash = hash(("group_ring", self.table))   # documents key a memo by ring
+        self.key = ("group_ring", self.table)
 
     def _validate_table(self):
         n = self.order
@@ -279,79 +256,51 @@ class GroupRing(Ring):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         raise ValueError("multiplication table is not associative")
 
-    def _canon(self, data):
-        acc: dict[int, int] = {}
-        for idx, coeff in data:
-            if not (0 <= idx < self.order):
-                raise ValueError(f"group index {idx} out of range")
-            acc[idx] = acc.get(idx, 0) + coeff
-        return tuple(sorted((i, c) for i, c in acc.items() if c != 0))
-
-    def from_int(self, n):
-        return RingElement(self, ((0, n),) if n != 0 else ())
+    def _from_terms(self, terms) -> RingElement:
+        """The sum of coeff * g_index over (index, coeff) pairs."""
+        v = [0] * self.order
+        for i, c in terms:
+            if not (0 <= i < self.order):
+                raise ValueError(f"group index {i} out of range")
+            v[i] += c
+        return RingElement(self, tuple(v))
 
     def generator(self, idx: int) -> RingElement:
-        return self.element([(idx, 1)])
-
-    def _add(self, x, y):
-        return self._canon(list(x) + list(y))
+        return self._from_terms([(idx, 1)])
 
     def _mul(self, x, y):
-        acc: dict[int, int] = {}
-        for i, c in x:
-            row = self.table[i]
-            for j, d in y:
-                k = row[j]
-                acc[k] = acc.get(k, 0) + c * d
-        return tuple(sorted((i, c) for i, c in acc.items() if c != 0))
-
-    def _neg(self, x):
-        return tuple((i, -c) for i, c in x)
-
-    def _is_zero(self, x):
-        return x == ()
-
-    def coords(self, a):
-        v = [0] * self.order
-        for i, c in a.data:
-            v[i] = c
-        return v
-
-    def from_coords(self, v):
-        return RingElement(self, tuple((i, c) for i, c in enumerate(v) if c != 0))
+        acc = [0] * self.order
+        ys = [(j, d) for j, d in enumerate(y) if d]
+        for row, c in zip(self.table, x):
+            if c:
+                for j, d in ys:
+                    acc[row[j]] += c * d
+        return tuple(acc)
 
     def regular_representation(self, a):
         m = [[0] * self.order for _ in range(self.order)]
-        for i, c in a.data:
-            row = self.table[i]
-            for k in range(self.order):
-                m[row[k]][k] += c
+        for row, c in zip(self.table, a.data):
+            if c:
+                for k, i in enumerate(row):
+                    m[i][k] += c
         return m
 
     def augment(self, a: RingElement) -> int:
-        return sum(c for _, c in a.data)
+        return sum(a.data)
 
     def literal(self, a):
-        return [[c, i] for i, c in a.data]
+        return [[c, i] for i, c in enumerate(a.data) if c]
 
     def parse_literal(self, lit):
         if not isinstance(lit, list):
             raise ValueError("group ring literal must be a list of [coeff, index]")
-        return self.element([(_json_int(i), _json_int(c)) for c, i in lit])
+        return self._from_terms([(_json_int(i), _json_int(c)) for c, i in lit])
 
     def format(self, a):
-        if not a.data:
-            return "0"
-        return " + ".join(f"{c}*g{i}" for i, c in a.data)
+        return " + ".join(f"{c}*g{i}" for i, c in enumerate(a.data) if c) or "0"
 
     def descriptor(self):
         return {"kind": "group_ring", "table": [list(r) for r in self.table]}
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, GroupRing) and self.table == other.table)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return f"Z[G{self.order}]"
@@ -373,8 +322,13 @@ class LaurentRing(Ring):
             raise UnsupportedRing(
                 "Laurent base must be the integers or a group ring")
         self.base = base
+        self.key = ("laurent", base)
+
+    def element(self, data) -> RingElement:
+        return RingElement(self, self._canon(data))
 
     def _canon(self, data):
+        """Sum the (exponent, base_data) terms of each exponent; drop zeros."""
         acc: dict[int, object] = {}
         for exp, bd in data:
             cur = acc.get(exp)
@@ -384,8 +338,7 @@ class LaurentRing(Ring):
         )
 
     def from_int(self, n):
-        b = self.base.from_int(n)
-        return RingElement(self, () if b.is_zero else ((0, b.data),))
+        return self.include(self.base.from_int(n))
 
     def t(self, exp: int = 1) -> RingElement:
         return RingElement(self, ((exp, self.base.one.data),))
@@ -397,7 +350,7 @@ class LaurentRing(Ring):
         return RingElement(self, () if a.is_zero else ((0, a.data),))
 
     def _add(self, x, y):
-        return self._canon(list(x) + list(y))
+        return self._canon(x + y)
 
     def _mul(self, x, y):
         acc: dict[int, object] = {}
@@ -437,18 +390,12 @@ class LaurentRing(Ring):
     def descriptor(self):
         return {"kind": "laurent", "base": self.base.descriptor()}
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, LaurentRing) and self.base == other.base)
-
-    def __hash__(self):
-        return hash(("laurent", self.base))
-
     def __repr__(self):
         return f"{self.base!r}[t,t^-1]"
 
 
-class QuadraticRing(Ring):
-    """Z[sqrt(d)] for squarefree d < 0; elements are pairs (a, b) = a + b*sqrt(d).
+class QuadraticRing(_LatticeRing):
+    """Z[sqrt(d)] for squarefree d < 0; data (a, b) is a + b*sqrt(d).
 
     The restriction to imaginary d keeps the norm form positive definite, so
     principality testing by bounded norm enumeration terminates.
@@ -463,46 +410,25 @@ class QuadraticRing(Ring):
         if d == 1 or not _is_squarefree(d):
             raise ValueError("d must be squarefree and != 0, 1")
         self.d = d
-
-    def _canon(self, data):
-        a, b = data
-        return (int(a), int(b))
-
-    def from_int(self, n):
-        return RingElement(self, (n, 0))
+        self.key = ("quadratic", d)
 
     def sqrt_d(self) -> RingElement:
         return RingElement(self, (0, 1))
-
-    def _add(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
 
     def _mul(self, x, y):
         a, b = x
         c, e = y
         return (a * c + self.d * b * e, a * e + b * c)
 
-    def _neg(self, x):
-        return (-x[0], -x[1])
-
-    def _is_zero(self, x):
-        return x == (0, 0)
-
     def conjugate(self, a: RingElement) -> RingElement:
         return RingElement(self, (a.data[0], -a.data[1]))
-
-    def coords(self, a):
-        return [a.data[0], a.data[1]]
-
-    def from_coords(self, v):
-        return RingElement(self, (v[0], v[1]))
 
     def regular_representation(self, a):
         x, y = a.data
         return [[x, self.d * y], [y, x]]
 
     def literal(self, a):
-        return [a.data[0], a.data[1]]
+        return list(a.data)
 
     def parse_literal(self, lit):
         if not isinstance(lit, list) or len(lit) != 2:
@@ -514,12 +440,6 @@ class QuadraticRing(Ring):
 
     def descriptor(self):
         return {"kind": "quadratic", "d": self.d}
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, QuadraticRing) and self.d == other.d)
-
-    def __hash__(self):
-        return hash(("quadratic", self.d))
 
     def __repr__(self):
         return f"Z[sqrt({self.d})]"

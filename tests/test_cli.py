@@ -521,3 +521,29 @@ def test_cached_parser_matches_a_fresh_process(tmp_path, capsys):
             outputs += 1
         codes.add(code)
     assert codes == {0, 1, 2} and outputs == 2
+
+
+def test_laurent_idempotent_above_the_term_cap_exit_1(tmp_path):
+    """A non-free Laurent module whose idempotent has more flattened terms
+    (Laurent terms times the base's flat rank) than
+    documents.MAX_IDEMPOTENT_TERMS is refused before its idempotent product;
+    one at the cap is multiplied, and found not idempotent."""
+    from chaink0.documents import MAX_IDEMPOTENT_TERMS as cap
+
+    def verify(base, one, terms):
+        idem = {"rows": 1, "cols": 1, "entries": [[[one, e] for e in range(terms)]]}
+        doc = tmp_path / "doc.json"
+        doc.write_text(json.dumps({"ring": {"kind": "laurent", "base": base}, "modules": {
+            "p": {"ambient_rank": 1, "idempotent": idem}}}))
+        return run_limited("verify", "--input", str(doc), "--name", "p", timeout=30)
+
+    for base, flat, one in (({"kind": "integers"}, 1, "1"),
+                            (rings.C2.descriptor(), 2, [[1, 0], [1, 1]])):
+        terms = cap // flat + 1
+        proc = verify(base, one, terms)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (f"error: field 'idempotent' of a non-free module: flattened "
+                               f"Laurent terms must be at most {cap}, got {terms * flat}\n")
+    proc = verify({"kind": "integers"}, "1", cap)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: module matrix is not idempotent\n"

@@ -137,7 +137,7 @@ def laurent_literal(ring) -> dict:
     the mapping torus of an identity) and maps on them, over ring."""
     p = ProjModule(Mat.from_rows(ring, [[1, 1], [0, 0]]))
     a = corpus_dominations(0, 1, "integers" if ring == ZZ else "c2")[0].A
-    ws = Workspace(ring, {})
+    ws = Workspace(ring)
     ws.complexes["R"] = res = laurent_resolution(p, 2)[0]
     ws.complexes["T"] = torus = algebraic_mapping_torus(ChainMap.identity(a))
     ws.maps["idR"], ws.maps["idT"] = ChainMap.identity(res), ChainMap.identity(torus)

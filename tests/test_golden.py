@@ -131,7 +131,7 @@ def nontrivial_literal(ring_name: str) -> dict:
     ring = RINGS[ring_name]
     rng = random.Random(f"golden:{ring_name}")
     build = load_workloads().nontrivial_domination
-    ws = Workspace(ring, {})
+    ws = Workspace(ring)
     for k in range(NONTRIVIAL_COUNT):
         d = build(rng, ring)
         ws.complexes[f"A{k}"], ws.complexes[f"C{k}"] = d.A, d.C
@@ -147,7 +147,7 @@ def perturbed_literal(ring_name: str) -> dict:
     ring = RINGS[ring_name]
     rng = random.Random(f"golden-perturb:{ring_name}")
     draws = (random_domination, load_workloads().nontrivial_domination)
-    ws = Workspace(ring, {})
+    ws = Workspace(ring)
     for k in range(PERTURBED_COUNT):
         d = perturb(draws[k % 2](rng, ring), rng)
         ws.complexes[f"A{k}"], ws.complexes[f"C{k}"] = d.A, d.C
@@ -162,7 +162,7 @@ def laurent_literal(ring_name: str) -> dict:
     and q0, q1 = conjugates of diag(1, 0) drawn from the workload's seeds."""
     ring = RINGS[ring_name]
     draw = load_workloads().random_idempotent
-    ws = Workspace(ring, {})
+    ws = Workspace(ring)
     ws.modules["p1"] = ProjModule.free(ring, 1)
     for j in (0, 1):
         ws.modules[f"q{j}"] = ProjModule(draw(
@@ -173,7 +173,7 @@ def laurent_literal(ring_name: str) -> dict:
 def s3_literal(perturbed: bool) -> dict:
     """dom<k> = random_domination(Random("golden-s3:<k>"), S3), perturbed by
     Random("golden-s3-perturb:<k>") when asked, and the idempotent q0."""
-    ws = Workspace(S3, {})
+    ws = Workspace(S3)
     for k in range(S3_COUNT):
         d = random_domination(random.Random(f"golden-s3:{k}"), S3)
         if perturbed:
@@ -197,7 +197,7 @@ def identity_cones(ring_name: str) -> tuple:
 
 
 def cone_literal(ring_name: str) -> dict:
-    ws = Workspace(RINGS[ring_name], {})
+    ws = Workspace(RINGS[ring_name])
     for k, x in enumerate(identity_cones(ring_name)):
         ws.complexes[f"X{k}"] = x
     return workspace_literal(ws)
@@ -209,7 +209,7 @@ def replace_literal(ring_name: str) -> dict:
     obstruction report, and L<k>, the same K above a free R in degree -1
     with a zero boundary, so that im(P) sits above the bottom."""
     ring = RINGS[ring_name]
-    ws = Workspace(ring, {})
+    ws = Workspace(ring)
     for k, d in enumerate(corpus_dominations(0, REPLACE_COUNT, ring_name)):
         x = build_instant(d).reduction
         ws.complexes[f"K{k}"] = x

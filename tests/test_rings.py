@@ -144,6 +144,24 @@ def test_ring_mismatch_rejected():
         ZZ.one + C2.one
 
 
+@pytest.mark.parametrize("ring", (ZZ, C2, Q5, LZ), ids=repr)
+def test_operators_take_ring_elements_only(ring):
+    x = ring.one
+    for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: 1 - x,
+               lambda: x * 2, lambda: 2 * x):
+        with pytest.raises(TypeError):
+            op()
+    assert x != 1 and ring.zero != 0
+
+
+def test_rings_equal_by_key():
+    assert ring_from_descriptor(C2.descriptor()) == C2 and C2 != S3
+    assert GroupRing([[0, 1], [1, 0]]) == C2 != GroupRing([[0]])
+    assert LaurentRing(GroupRing(C2.table)) == LC2 != LZ
+    assert QuadraticRing(-5) == Q5 != QuadraticRing(-1)
+    assert len({ZZ, C2, GroupRing(C2.table), Q5, QuadraticRing(-5), LZ, LaurentRing(ZZ)}) == 4
+
+
 def test_laurent_over_laurent_rejected():
     with pytest.raises(UnsupportedRing):
         LaurentRing(LZ)
