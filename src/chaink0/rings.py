@@ -100,8 +100,9 @@ class Ring:
     """Descriptor of a coefficient ring; also the factory for its elements.
 
     Each ring provides from_int, the raw-data arithmetic _add, _mul, _neg and
-    _is_zero, and the literal codec literal, parse_literal, format and
-    descriptor.  Two rings are equal exactly when their keys are.
+    _is_zero, literal (a JSON-compatible value that parse_literal reads back
+    bit-exactly), format and descriptor.  Two rings are equal exactly when
+    their keys are.
     """
 
     kind: str = ""
