@@ -18,7 +18,7 @@ from .verdicts import Report, VerificationFailed
 class ProjModule:
     """A finitely generated projective module: im(e) for an idempotent e."""
 
-    __slots__ = ("ring", "ambient_rank", "idem", "_free")
+    __slots__ = ("ring", "ambient_rank", "idem", "_free", "_idempotent")
 
     def __init__(self, idem: Mat):
         if idem.rows != idem.cols:
@@ -27,6 +27,7 @@ class ProjModule:
         object.__setattr__(self, "ambient_rank", idem.rows)
         object.__setattr__(self, "idem", idem)
         object.__setattr__(self, "_free", None)
+        object.__setattr__(self, "_idempotent", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("modules are immutable")
@@ -44,12 +45,19 @@ class ProjModule:
         return self._free
 
     @property
+    def is_idempotent(self) -> bool:
+        """Whether idem @ idem == idem; checked once, then cached."""
+        if self._idempotent is None:
+            object.__setattr__(self, "_idempotent", self.idem.is_idempotent())
+        return self._idempotent
+
+    @property
     def is_zero(self) -> bool:
         return self.idem.is_zero
 
     def validate(self) -> Report:
         rep = Report()
-        if not self.is_free and not self.idem.is_idempotent():
+        if not self.is_free and not self.is_idempotent:
             rep.add("module.not_idempotent")
         return rep
 
@@ -128,10 +136,6 @@ class ProjComplex:
 
     def idem(self, n: int) -> Mat:
         return self.module(n).idem
-
-    def euler_rank(self) -> int:
-        """Alternating sum of ambient ranks (free complexes: the usual chi)."""
-        return sum((-1) ** n * self.rank_at(n) for n in self.degrees())
 
     def __eq__(self, other):
         if not isinstance(other, ProjComplex):
@@ -306,10 +310,6 @@ class HomologyResult:
 
     def torsion(self, n: int) -> tuple[int, ...]:
         return self.at(n)[1]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.groups
 
     def as_dict(self) -> dict:
         return {str(n): {"betti": b, "torsion": list(t)} for n, b, t in self.groups}

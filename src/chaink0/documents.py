@@ -142,9 +142,9 @@ def parse_module(lit, ring: Ring, memo: dict | None = None) -> ProjModule:
             len(a.data) for a in m.entries)) > MAX_IDEMPOTENT_TERMS:
         raise DocumentError(f"field 'idempotent' of a non-free module: flattened Laurent "
                             f"terms must be at most {MAX_IDEMPOTENT_TERMS}, got {terms}")
-    if not m.is_idempotent():
+    if m.cols != rank or not (p := ProjModule(m)).is_idempotent:
         raise DocumentError("module matrix is not idempotent")
-    return ProjModule(m)
+    return p
 
 
 def parse_complex(lit, ring: Ring, memo: dict | None = None) -> ProjComplex:

@@ -3,11 +3,14 @@
 Everything operates on dense lists of lists of Python ints, so there is no
 overflow anywhere.  The SNF pivot is always a nonzero entry of minimal
 absolute value (ties broken by lowest row, then column), which keeps
-intermediate coefficients from exploding on desk-scale inputs.
+intermediate coefficients from exploding on desk-scale inputs.  The
+reduction computes D and records its steps; each transform is built from
+that record the first time it is read (see SmithNormalForm).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -37,20 +40,59 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
+def _replay(n: int, steps: list, inverse: bool, negated=()) -> list[list[int]]:
+    """eye(n) with the flat step record i, j, q, ... replayed as row operations:
+    a swap of rows i and j when q is None, else row i += q * row j or, when
+    inverse, row j -= q * row i.  The rows in negated are negated last."""
+    m = eye(n)
+    for i, j, q in zip(*[iter(steps)] * 3):
+        if q is None:
+            m[i], m[j] = m[j], m[i]
+        elif inverse:
+            m[j] = [b - q * a for a, b in zip(m[i], m[j])]
+        else:
+            m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    for i in negated:
+        m[i] = [-x for x in m[i]]
+    return m
+
+
 @dataclass
 class SmithNormalForm:
-    """U @ M @ V == D with U, V unimodular and D a nonnegative divisor chain."""
+    """U @ M @ V == D with U, V unimodular and D a nonnegative divisor chain.
+
+    Each transform is replayed from the step record when first read: u and
+    v_inv as row operations, u_inv and v on the rows of their transposes.
+    `homology` reads none of them, `IntegerSolver` reads u and v, and
+    `image_basis` reads u_inv.
+    """
 
     d: list[list[int]]
-    u: list[list[int]]
-    v: list[list[int]]
-    u_inv: list[list[int]]
-    v_inv: list[list[int]]
+    cols: int
+    row_steps: list      # flat i, j, q per step: row i += q * row j, or a swap
+    col_steps: list      # the same for columns
+    negated: list[int]   # rows negated after every other step
+
+    @cached_property
+    def u(self) -> list[list[int]]:
+        return _replay(len(self.d), self.row_steps, False, self.negated)
+
+    @cached_property
+    def u_inv(self) -> list[list[int]]:
+        return [list(c) for c in zip(*_replay(len(self.d), self.row_steps, True,
+                                              self.negated))]
+
+    @cached_property
+    def v(self) -> list[list[int]]:
+        return [list(c) for c in zip(*_replay(self.cols, self.col_steps, False))]
+
+    @cached_property
+    def v_inv(self) -> list[list[int]]:
+        return _replay(self.cols, self.col_steps, True)
 
     @property
     def rank(self) -> int:
-        return sum(1 for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))
-                   if self.d[i][i] != 0)
+        return sum(1 for x in self.diagonal() if x)
 
     def diagonal(self) -> list[int]:
         n = min(len(self.d), len(self.d[0]) if self.d else 0)
@@ -62,45 +104,25 @@ def smith_normal_form(m: list[list[int]], cols: int | None = None) -> SmithNorma
     if cols is None:
         cols = len(m[0]) if rows else 0
     d = [list(r) for r in m]
-    u, u_inv = eye(rows), eye(rows)
-    v, v_inv = eye(cols), eye(cols)
+    row_steps, col_steps = [], []
 
     def row_add(i, j, q):  # row i += q * row j
-        for k in range(cols):
-            d[i][k] += q * d[j][k]
-        for k in range(rows):
-            u[i][k] += q * u[j][k]
-        for k in range(rows):
-            u_inv[k][j] -= q * u_inv[k][i]
+        d[i] = [a + q * b for a, b in zip(d[i], d[j])]
+        row_steps.extend((i, j, q))
 
     def col_add(i, j, q):  # col i += q * col j
         for k in range(rows):
             d[k][i] += q * d[k][j]
-        for k in range(cols):
-            v[k][i] += q * v[k][j]
-        for k in range(cols):
-            v_inv[j][k] -= q * v_inv[i][k]
+        col_steps.extend((i, j, q))
 
     def row_swap(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for k in range(rows):
-            u_inv[k][i], u_inv[k][j] = u_inv[k][j], u_inv[k][i]
+        row_steps.extend((i, j, None))
 
     def col_swap(i, j):
         for k in range(rows):
             d[k][i], d[k][j] = d[k][j], d[k][i]
-        for k in range(cols):
-            v[k][i], v[k][j] = v[k][j], v[k][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def row_negate(i):
-        for k in range(cols):
-            d[i][k] = -d[i][k]
-        for k in range(rows):
-            u[i][k] = -u[i][k]
-        for k in range(rows):
-            u_inv[k][i] = -u_inv[k][i]
+        col_steps.extend((i, j, None))
 
     def find_pivot(t):
         best = None
@@ -169,11 +191,10 @@ def smith_normal_form(m: list[list[int]], cols: int | None = None) -> SmithNorma
         else:
             t += 1
 
-    for i in range(n):
-        if d[i][i] < 0:
-            row_negate(i)
-
-    return SmithNormalForm(d, u, v, u_inv, v_inv)
+    negated = [i for i in range(n) if d[i][i] < 0]
+    for i in negated:
+        d[i] = [-x for x in d[i]]
+    return SmithNormalForm(d, cols, row_steps, col_steps, negated)
 
 
 class IntegerSolver:
@@ -216,12 +237,5 @@ class IntegerSolver:
 def image_basis(m: list[list[int]]) -> list[list[int]]:
     """Vectors forming a Z-basis of the column lattice of M."""
     s = smith_normal_form(m)
-    rows = len(m)
-    n = min(rows, len(m[0]) if rows else 0)
-    basis = []
-    for j in range(n):
-        dj = s.d[j][j]
-        if dj != 0:
-            basis.append([dj * s.u_inv[i][j] for i in range(rows)])
-    return basis
+    return [[dj * row[j] for row in s.u_inv] for j, dj in enumerate(s.diagonal()) if dj]
 

@@ -211,10 +211,21 @@ def ideal_product(x: IdealLattice, y: IdealLattice) -> IdealLattice:
     return IdealLattice(ring, (tuple(basis[0]), tuple(basis[1])))
 
 
+# pi to 40 decimals, rounded down: _PI_40 / 10**40 < pi < (_PI_40 + 1) / 10**40.
+_PI_40 = 31415926535897932384626433832795028841971
+
+
 def minkowski_bound(ring: QuadraticRing) -> int:
-    """Norm bound covering every ideal class of Z[sqrt(d)], d < 0."""
-    disc = 4 * abs(ring.d)
-    return math.ceil((2.0 / math.pi) * math.sqrt(disc))
+    """Norm bound covering every ideal class of Z[sqrt(d)], d < 0: the least B
+    with pi^2 B^2 >= 16|d|, decided in integers from the enclosure of pi above."""
+    target = 16 * abs(ring.d) * 10 ** 80
+    b = math.isqrt(target // (_PI_40 + 1) ** 2)
+    while (_PI_40 * b) ** 2 < target:
+        if ((_PI_40 + 1) * b) ** 2 >= target:
+            raise ArithmeticError(f"pi to 40 decimals does not decide the Minkowski "
+                                  f"bound for d = {ring.d}")
+        b += 1
+    return b
 
 
 @dataclass(frozen=True)
@@ -227,10 +238,6 @@ class ClassVerdict:
     minkowski: int
     generator: RingElement | None = None
     detail: str = ""
-
-    @property
-    def is_principal(self) -> bool:
-        return self.status == "principal"
 
 
 def principality(ideal: IdealLattice, bound: int | None = None) -> ClassVerdict:

@@ -413,9 +413,6 @@ class QuadraticRing(_LatticeRing):
         self.d = d
         self.key = ("quadratic", d)
 
-    def sqrt_d(self) -> RingElement:
-        return RingElement(self, (0, 1))
-
     def _mul(self, x, y):
         a, b = x
         c, e = y

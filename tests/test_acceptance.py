@@ -117,7 +117,7 @@ def test_criterion_4_nontrivial_class():
         assert v.bound >= v.minkowski  # the verdict is a certificate
         ideal = ideal_of_module(p)
         sq = principality(ideal_product(ideal, ideal))
-        assert sq.is_principal and Q5.coords(sq.generator) == [2, 0]
+        assert sq.status == "principal" and Q5.coords(sq.generator) == [2, 0]
 
 
 def test_criterion_5_laurent_windows():

@@ -27,6 +27,7 @@ def assert_snf_postconditions(m, cols=None):
     assert il.mat_mul(s.u, s.u_inv) == il.eye(rows)
     assert il.mat_mul(s.u_inv, s.u) == il.eye(rows)
     assert il.mat_mul(s.v, s.v_inv) == il.eye(cols)
+    assert il.mat_mul(s.v_inv, s.v) == il.eye(cols)
     n = min(rows, cols)
     for i in range(rows):
         for j in range(cols):
@@ -50,6 +51,13 @@ def test_snf_identity():
 def test_snf_zero():
     s = il.smith_normal_form([[0]])
     assert s.d == [[0]] and s.u == [[1]] and s.v == [[1]]
+
+
+def test_transforms_are_built_once_and_cached():
+    s = il.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    for name in ("u", "u_inv", "v", "v_inv"):
+        assert getattr(s, name) is getattr(s, name)
+    assert s.diagonal() == [2, 6, 12]
 
 
 def test_snf_divisor_chain_example():

@@ -1,5 +1,8 @@
 """Projective modules, K0 classes, witnesses, and the ideal-class oracle."""
+import math
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -155,7 +158,7 @@ def test_two_inverse_identities_decide_like_four(ring):
 
 def test_oracle_on_the_ring_itself():
     v = quadratic_class_oracle(ProjModule.free(Q5, 1))
-    assert v.is_principal
+    assert v.status == "principal"
     assert Q5.coords(v.generator) == [1, 0]
 
 
@@ -181,11 +184,44 @@ def test_ideal_square_has_order_two():
     ideal = ideal_of_module(ProjModule(ideal_idempotent()))
     square = ideal_product(ideal, ideal)
     v = principality(square)
-    assert v.is_principal
+    assert v.status == "principal"
     assert Q5.coords(v.generator) == [2, 0]
     assert v.norm == 4
 
 
 def test_minkowski_bound_value():
     assert minkowski_bound(Q5) == 3
+
+
+# pi to 60 decimals, rounded down: a finer enclosure than the one under test.
+PI_60 = Fraction(3141592653589793238462643383279502884197169399375105820974944,
+                 10 ** 60)
+
+
+def reference_minkowski(n):
+    """The least B with pi^2 B^2 >= 16 n, in exact rationals."""
+    r = 16 * n / PI_60 ** 2
+    b = math.isqrt(math.floor(r))
+    while b * b < r:
+        b += 1
+    return b
+
+
+def test_minkowski_bound_is_exact():
+    """minkowski_bound only reads ring.d, so every |d| is tried, not just the
+    squarefree ones; up to 10^4 it also equals the float formula it replaced."""
+    for n in range(1, 10 ** 4 + 1):
+        b = minkowski_bound(SimpleNamespace(d=-n))
+        assert b == reference_minkowski(n) == math.ceil((2.0 / math.pi) * math.sqrt(4 * n))
+    rng = random.Random("minkowski")
+    for _ in range(2000):
+        n = rng.randint(1, 10 ** rng.randint(5, 12))
+        assert minkowski_bound(SimpleNamespace(d=-n)) == reference_minkowski(n)
+
+
+def test_minkowski_bound_raises_when_pi_cannot_decide():
+    # 16|d| lies within about 10^-49 (relative) of pi^2 B^2 for B = 10^25.
+    n = math.ceil((PI_60 * 10 ** 25) ** 2 / 16)
+    with pytest.raises(ArithmeticError, match="does not decide"):
+        minkowski_bound(SimpleNamespace(d=-n))
 

@@ -90,7 +90,7 @@ def test_polynomial_identity():
 
 
 def test_quadratic_norm_product():
-    s = Q5.sqrt_d()
+    s = Q5.from_coords([0, 1])
     one = Q5.one
     assert (one + s) * (one - s) == Q5.from_int(6)
 
@@ -118,7 +118,7 @@ def test_augment_examples():
 def test_regular_representation_examples():
     assert C2.regular_representation(C2.one) == [[1, 0], [0, 1]]
     assert C2.regular_representation(C2.generator(1)) == [[0, 1], [1, 0]]
-    assert Q5.regular_representation(Q5.sqrt_d()) == [[0, -5], [1, 0]]
+    assert Q5.regular_representation(Q5.from_coords([0, 1])) == [[0, -5], [1, 0]]
 
 
 @settings(max_examples=50, deadline=None)
