@@ -109,7 +109,8 @@ def parse_matrix(lit, ring: Ring, memo: dict | None = None) -> Mat:
     """memo, one per parse_workspace call, maps a ring to the first equal
     ring object seen and its elements by repr(literal), so that a document
     parses each distinct literal once and equal rings share one object.
-    repr tells true, 1.0, 1 and "1" apart; a failed literal is never stored."""
+    repr tells true, 1.0, 1 and "1" apart; a failed literal is never stored.
+    parse_module also maps each checked idempotent matrix to its module."""
     rows = _count(lit, "rows")
     cols = _count(lit, "cols")
     entries = _expect(lit, "entries", list)
@@ -142,8 +143,11 @@ def parse_module(lit, ring: Ring, memo: dict | None = None) -> ProjModule:
             len(a.data) for a in m.entries)) > MAX_IDEMPOTENT_TERMS:
         raise DocumentError(f"field 'idempotent' of a non-free module: flattened Laurent "
                             f"terms must be at most {MAX_IDEMPOTENT_TERMS}, got {terms}")
-    if m.cols != rank or not (p := ProjModule(m)).is_idempotent:
-        raise DocumentError("module matrix is not idempotent")
+    memo = {} if memo is None else memo
+    if (p := memo.get(m)) is None:  # no equal idempotent was checked yet
+        if m.cols != rank or not (p := ProjModule(m)).is_idempotent:
+            raise DocumentError("module matrix is not idempotent")
+        memo[m] = p
     return p
 
 

@@ -1,16 +1,17 @@
 """Exact integer linear algebra: Smith normal form, kernels, solving.
 
 Everything operates on dense lists of lists of Python ints, so there is no
-overflow anywhere.  The SNF pivot is always a nonzero entry of minimal
-absolute value (ties broken by lowest row, then column), which keeps
-intermediate coefficients from exploding on desk-scale inputs.  The
-reduction computes D and records its steps; each transform is built from
-that record the first time it is read (see SmithNormalForm).
+overflow anywhere.  Reading a Smith normal form's D, diagonal or rank first
+runs the modular diagonal, whose entries stay below the determinant of a
+full-rank minor.  Reading a transform first runs the exact reduction, whose
+minimal pivots do not bound coefficients: transform entries reach tens of
+thousands of bits on dense 20 x 20 inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
@@ -61,48 +62,154 @@ def _replay(n: int, steps: list, inverse: bool, negated=()) -> list[list[int]]:
 class SmithNormalForm:
     """U @ M @ V == D with U, V unimodular and D a nonnegative divisor chain.
 
-    Each transform is replayed from the step record when first read: u and
-    v_inv as row operations, u_inv and v on the rows of their transposes.
-    `homology` reads none of them, `IntegerSolver` reads u and v, and
-    `image_basis` reads u_inv.
+    D is the modular diagonal, or the exact reduction's by-product when a
+    transform is read first.  Each transform is replayed from the exact
+    reduction's step record when first read: u and v_inv as row operations,
+    u_inv and v on the rows of their transposes.  `homology` and the rank
+    readers read only D, `IntegerSolver` u and v, `image_basis` u_inv first.
     """
 
-    d: list[list[int]]
+    m: list[list[int]]
     cols: int
-    row_steps: list      # flat i, j, q per step: row i += q * row j, or a swap
-    col_steps: list      # the same for columns
-    negated: list[int]   # rows negated after every other step
+
+    @cached_property
+    def _record(self) -> list:
+        """The exact reduction's (row_steps, col_steps, negated); sets _diagonal if unset."""
+        diag, *record = _reduce(self.m, self.cols)
+        self.__dict__.setdefault("_diagonal", diag)
+        return record
+
+    @cached_property
+    def _diagonal(self) -> list[int]:
+        return _modular_diagonal(self.m, self.cols)
+
+    @cached_property
+    def d(self) -> list[list[int]]:
+        d = zeros(len(self.m), self.cols)
+        for i, x in enumerate(self._diagonal):
+            d[i][i] = x
+        return d
 
     @cached_property
     def u(self) -> list[list[int]]:
-        return _replay(len(self.d), self.row_steps, False, self.negated)
+        return _replay(len(self.m), self._record[0], False, self._record[2])
 
     @cached_property
     def u_inv(self) -> list[list[int]]:
-        return [list(c) for c in zip(*_replay(len(self.d), self.row_steps, True,
-                                              self.negated))]
+        return [list(c) for c in zip(*_replay(len(self.m), self._record[0], True,
+                                              self._record[2]))]
 
     @cached_property
     def v(self) -> list[list[int]]:
-        return [list(c) for c in zip(*_replay(self.cols, self.col_steps, False))]
+        return [list(c) for c in zip(*_replay(self.cols, self._record[1], False))]
 
     @cached_property
     def v_inv(self) -> list[list[int]]:
-        return _replay(self.cols, self.col_steps, True)
+        return _replay(self.cols, self._record[1], True)
 
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x)
 
     def diagonal(self) -> list[int]:
-        n = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return [self.d[i][i] for i in range(n)]
+        return list(self._diagonal)
 
 
 def smith_normal_form(m: list[list[int]], cols: int | None = None) -> SmithNormalForm:
+    cols = cols if cols is not None else (len(m[0]) if m else 0)
+    return SmithNormalForm([list(r) for r in m], cols)
+
+
+def _minor_det(m: list[list[int]], cols: int) -> tuple[int, int]:
+    """The rank r of m and |det| of a nonsingular r x r minor (1 when r = 0), by
+    fraction-free (Bareiss) elimination: its entries are minors of m."""
+    a = [list(row) for row in m if any(row)]
+    r, prev = 0, 1
+    for c in range(cols):
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        top, p = a[r], a[r][c]
+        for row in a[r + 1:]:
+            x = row[c]
+            row[c + 1:] = [(p * b - x * q) // prev for b, q in zip(row[c + 1:], top[c + 1:])]
+        r, prev = r + 1, p
+    return r, abs(prev)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x * a + y * b == g == gcd(a, b), for a >= 0 and b > 0."""
+    x = pow(a // (g := gcd(a, b)), -1, b // g)
+    return g, x, (g - x * a) // b
+
+
+def _modular_diagonal(m: list[list[int]], cols: int) -> list[int]:
+    """The diagonal of the Smith normal form of m, computed modulo D.
+
+    Let r be the rank and D = |det| of a nonsingular r x r minor.  Each of
+    the first r invariant factors of m divides D, so they are also the first
+    r invariant factors of [m | D*I], whose column lattice contains D*Z^rows
+    (Kannan-Bachem; Domich-Kannan-Trotter).  That lattice is reduced to
+    diagonal form with every entry taken modulo D."""
+    rows, n = len(m), min(len(m), cols)
+    r, det = _minor_det(m, cols)
+    if det == 1:  # every invariant factor divides D
+        return [1] * r + [0] * (n - r)
+    a = [[x % det for x in row] for row in m]
+    pivots = []
+    for t in range(n):
+        best = (det, t, t)  # the pivot: least gcd(x, D) < D, a unit ends the scan
+        for i in range(t, rows):
+            for j, x in enumerate(a[i][t:], t):
+                if x and (h := gcd(x, det)) < best[0]:
+                    best = (h, i, j)
+            if best[0] == 1:
+                break
+        if best[0] == det:
+            break
+        _, i, j = best
+        a[t], a[i] = a[i], a[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        while True:
+            # Column pass: clear column t below the pivot with row operations.
+            top, p = a[t], a[t][t]
+            unit = pow(p, -1, det) if gcd(p, det) == 1 else None
+            for i in range(t + 1, rows):
+                row, x = a[i], a[i][t]
+                if x and unit is not None:
+                    c = x * unit % det
+                    row[t:] = [(b - c * q) % det for b, q in zip(row[t:], top[t:])]
+                elif x:
+                    g, s, u = _xgcd(p, x)
+                    a[t] = [(s * q + u * b) % det for q, b in zip(top, row)]
+                    a[i] = [(p // g * b - x // g * q) % det for q, b in zip(top, row)]
+                    top, p = a[t], g
+            # Column t is p * e_t: folding in D * e_t makes the pivot gcd(p, D).
+            p = top[t] = gcd(p, det)
+            # Row pass: clear row t with column operations.  An xgcd step fills column
+            # t again, so the column pass restarts, each time with a lower pivot.
+            top[t + 1:] = [y if y % p else 0 for y in top[t + 1:]]
+            j = next((j for j in range(t + 1, cols) if top[j]), None)
+            if j is None:
+                break
+            g, s, u = _xgcd(p, top[j])
+            top[t], top[j] = g, 0
+            for row in a[t + 1:]:
+                row[t], row[j] = u * row[j] % det, p // g * row[j] % det
+        pivots.append(p)
+    # Pivots padded with D, sorted by pairwise gcd/lcm: the first r are m's factors.
+    diag = pivots + [det] * (rows - len(pivots))
+    for i in range(r):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag[:r] + [0] * (n - r)
+
+
+def _reduce(m: list[list[int]], cols: int) -> tuple:
+    """The exact reduction: (D's diagonal, row_steps, col_steps, negated)."""
     rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if rows else 0
     d = [list(r) for r in m]
     row_steps, col_steps = [], []
 
@@ -141,7 +248,7 @@ def smith_normal_form(m: list[list[int]], cols: int | None = None) -> SmithNorma
         """Clear the trailing block so d is diagonal from position start on.
 
         The pivot is re-selected as the globally minimal nonzero entry after
-        every reduction step, which is what keeps coefficients from exploding.
+        every reduction step.
         """
         t = start
         while t < n:
@@ -194,7 +301,7 @@ def smith_normal_form(m: list[list[int]], cols: int | None = None) -> SmithNorma
     negated = [i for i in range(n) if d[i][i] < 0]
     for i in negated:
         d[i] = [-x for x in d[i]]
-    return SmithNormalForm(d, cols, row_steps, col_steps, negated)
+    return [d[i][i] for i in range(n)], row_steps, col_steps, negated
 
 
 class IntegerSolver:
@@ -237,5 +344,6 @@ class IntegerSolver:
 def image_basis(m: list[list[int]]) -> list[list[int]]:
     """Vectors forming a Z-basis of the column lattice of M."""
     s = smith_normal_form(m)
-    return [[dj * row[j] for row in s.u_inv] for j, dj in enumerate(s.diagonal()) if dj]
+    u_inv = s.u_inv  # read first, so D is the exact reduction's by-product
+    return [[dj * row[j] for row in u_inv] for j, dj in enumerate(s.diagonal()) if dj]
 

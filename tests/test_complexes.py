@@ -1,5 +1,7 @@
 """Complexes, chain maps, homotopies, cones, and lattice homology."""
+import math
 import random
+import time
 
 import pytest
 
@@ -183,7 +185,8 @@ def test_homology_runs_one_smith_normal_form_per_boundary(monkeypatch):
 
 
 def test_homology_builds_no_transform(monkeypatch):
-    """homology reads only the diagonal, so no SNF step record is replayed."""
+    """homology reads only the diagonal, which comes from the modular path:
+    the exact reduction never runs, so no step record is built or replayed."""
     rng = random.Random(12)
     dense = Mat.from_rows(ZZ, [[rng.randint(-9, 9) for _ in range(12)]
                                for _ in range(12)])
@@ -193,11 +196,42 @@ def test_homology_builds_no_transform(monkeypatch):
         raise AssertionError("homology built a Smith normal form transform")
 
     monkeypatch.setattr(intlinalg, "_replay", forbidden)
+    monkeypatch.setattr(intlinalg, "_reduce", forbidden)
     rank = intlinalg.smith_normal_form(dense.flatten()).rank
     h = homology(ProjComplex.free_complex(ZZ, 0, [12, 12], [dense]))
     assert h.betti(0) == h.betti(1) == 12 - rank
     h = homology(swindle)
     assert h.at(0) == (2, ()) and h.at(1) == (0, ())
+
+
+def bareiss_abs_det(m):
+    """|det m| by fraction-free elimination with row pivoting."""
+    a, prev = [list(row) for row in m], 1
+    for k in range(len(a)):
+        i = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if i is None:
+            return 0
+        a[k], a[i] = a[i], a[k]
+        for row in a[k + 1:]:
+            row[k + 1:] = [(a[k][k] * x - row[k] * y) // prev
+                           for x, y in zip(row[k + 1:], a[k][k + 1:])]
+        prev = a[k][k]
+    return abs(prev)
+
+
+def test_dense_48_homology_is_fast_and_exact():
+    """The torsion of H_0 of Z^48 --d--> Z^48 is the Smith diagonal of d, so
+    its product is |det d|."""
+    rng = random.Random(48)
+    d = Mat.from_rows(ZZ, [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)])
+    det = bareiss_abs_det(d.flatten())
+    assert det > 1
+    start = time.perf_counter()
+    h = homology(ProjComplex.free_complex(ZZ, 0, [48, 48], [d]))
+    assert time.perf_counter() - start < 2
+    betti, torsion = h.at(0)
+    assert betti == h.betti(1) == 0
+    assert math.prod(torsion) == det
 
 
 def test_homology_rejects_laurent():

@@ -82,6 +82,65 @@ def test_snf_random_properties():
         assert_snf_postconditions(random_matrix(rng, rows, cols, bound), cols)
 
 
+def exact_and_modular_diagonals(m, cols):
+    """The diagonal read after u (the exact reduction's by-product) and the
+    diagonal read first (the modular path, which runs no exact reduction)."""
+    exact = il.smith_normal_form(m, cols)
+    assert exact.u is not None and "_record" in vars(exact)
+    modular = il.smith_normal_form(m, cols)
+    diag = modular.diagonal()
+    assert "_record" not in vars(modular)
+    return exact.diagonal(), diag
+
+
+def test_modular_diagonal_on_criterion_9_matrices():
+    """The 1000 matrices of acceptance criterion 9, drawn the same way."""
+    rng = random.Random(99)
+    for _ in range(1000):
+        rows = rng.randrange(0, 13)
+        cols = rng.randrange(0, 13)
+        m = [[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
+        exact, modular = exact_and_modular_diagonals(m, cols)
+        assert modular == exact
+
+
+def structured_matrices(rng):
+    """Seeded families whose invariant factors are not all 1: rank-deficient
+    rows, a common factor, rows scaled by prime powers, and zero rows or
+    columns, down to 0 x n and n x 0."""
+    for _ in range(150):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        rank = rng.randrange(1, rows + 1)
+        yield il.mat_mul(random_matrix(rng, rows, rank, 3),
+                         random_matrix(rng, rank, cols, 9))
+        factor = rng.randrange(2, 37)
+        yield [[factor * x for x in row] for row in random_matrix(rng, rows, cols, 9)]
+        scales = rng.choices([1, 4, 8, 9, 27], k=rows)
+        yield [[scale * x for x in row]
+               for scale, row in zip(scales, random_matrix(rng, rows, cols, 5))]
+        m = random_matrix(rng, rows, cols, 9)
+        for i in rng.sample(range(rows), rng.randrange(rows)):
+            m[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randrange(cols)):
+            for row in m:
+                row[j] = 0
+        yield m
+    for n in range(5):
+        yield [[] for _ in range(n)]
+        yield [[0] * n for _ in range(n)]
+
+
+def test_modular_diagonal_on_structured_families():
+    rng = random.Random(18)
+    seen_chains = set()
+    for m in structured_matrices(rng):
+        cols = len(m[0]) if m else rng.randrange(4)
+        exact, modular = exact_and_modular_diagonals(m, cols)
+        assert modular == exact
+        seen_chains.add(tuple(x for x in exact if x > 1))
+    assert len(seen_chains) > 100
+
+
 def test_solver_on_consistent_systems():
     rng = random.Random(1)
     for _ in range(100):
