@@ -18,8 +18,7 @@ from .constructions import (algebraic_mapping_torus, laurent_resolution,
                             realize, swindle_prefix)
 from .corpus import generate_corpus
 from .documents import (DocumentError, Workspace, canonical_json, complex_literal,
-                        homology_literal, matrix_literal, module_literal,
-                        parse_workspace, report_literal, witness_literal)
+                        matrix_literal, module_literal, parse_workspace, witness_literal)
 from .instant import (Domination, TrimPreconditionError, build_instant,
                       finiteness_obstruction, free_replacement, trim_below,
                       verify_domination)
@@ -76,7 +75,7 @@ def _obstruction_payload(dom: Domination, bound: int | None) -> tuple[dict, bool
     try:
         ob = finiteness_obstruction(dom)
     except VerificationFailed as ex:
-        return {"verify": report_literal(ex.report)}, False
+        return {"verify": ex.report.as_dict()}, False
     sigma_trivial = not ob.sigma.plus and not ob.sigma.minus
     payload: dict = {
         "chi": ob.chi,
@@ -106,7 +105,7 @@ def _obstruction_payload(dom: Domination, bound: int | None) -> tuple[dict, bool
 def _rejected(code: str, **fields) -> tuple[dict, bool]:
     rep = Report()
     rep.add(code, **fields)
-    return {"report": report_literal(rep)}, False
+    return {"report": rep.as_dict()}, False
 
 
 # Caps on the flags whose work grows with their value, so that no flag asks
@@ -136,11 +135,11 @@ def _verify(args, ws, obj):
         rep = verify_domination(obj)
     else:
         rep = obj.validate()
-    return {"report": report_literal(rep)}, rep.ok
+    return {"report": rep.as_dict()}, rep.ok
 
 
 def _homology(args, ws, x):
-    return {"homology": homology_literal(homology(x))}, True
+    return {"homology": homology(x).as_dict()}, True
 
 
 def _instant(args, ws, dom):
@@ -191,7 +190,7 @@ def _laurent_resolve(args, ws, p):
 def _swindle(args, ws, p):
     cx = swindle_prefix(p, _in_range(args, "window", 1, MAX_WINDOW))
     return {"complex": complex_literal(cx, ws.ring),
-            "homology": homology_literal(homology(cx))}, True
+            "homology": homology(cx).as_dict()}, True
 
 
 def _torus(args, ws, f):
@@ -292,7 +291,7 @@ def _run(args) -> int:
         try:
             payload, ok = cmd.handler(args, ws, obj)
         except VerificationFailed as ex:
-            payload, ok = {"report": report_literal(ex.report)}, False
+            payload, ok = {"report": ex.report.as_dict()}, False
         payload.update({"command": args.command,
                         "provenance": {"input_digest": digest, "name": args.name}})
     _emit(args, payload)

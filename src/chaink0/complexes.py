@@ -332,7 +332,8 @@ def homology(x: ProjComplex) -> HomologyResult:
     boundary: d_n = d_n e_n puts im(1 - e_n) inside ker d_n, and im d_{n+1}
     lies in im e_n.  So H_n has betti = trace(e_n) - rank d_n - rank d_{n+1}
     and torsion = the invariant factors > 1 of d_{n+1}.  That is one Smith
-    normal form per boundary, read for its diagonal only, and none per module.
+    normal form per boundary, read for its diagonal only; trace(e_n) is read
+    from the regular representations of e_n's diagonal entries.
 
     Raises VerificationFailed, with validate_complex's report, on an
     invalid complex, and then UnsupportedRing over a Laurent ring.
@@ -350,8 +351,9 @@ def homology(x: ProjComplex) -> HomologyResult:
         torsion[n] = tuple(a for a in diag if a > 1)
     out = {}
     for n in x.degrees():
-        e = x.idem(n).flatten()
-        trace = sum(e[i][i] for i in range(len(e)))
+        e = x.idem(n)
+        blocks = [x.ring.regular_representation(e[i, i]) for i in range(e.rows)]
+        trace = sum(b[a][a] for b in blocks for a in range(k))
         out[n] = (trace - ranks.get(n, 0) - ranks.get(n + 1, 0), torsion.get(n + 1, ()))
     return HomologyResult.from_dict(out)
 

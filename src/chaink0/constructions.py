@@ -114,7 +114,7 @@ def laurent_window_check(p: ProjModule, window: int) -> WindowedLaurentCheck:
     phi = {("im", z): e for z in xs}
     tau = {(n, "im"): e}
 
-    idempotent = intlinalg.mat_mul(e, e) == e
+    idempotent = p.is_free or p.is_idempotent
     details = [] if idempotent else ["e is not idempotent"]
     identities = (
         (_compose((lift, bnd)), domain_one,

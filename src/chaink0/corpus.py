@@ -42,8 +42,8 @@ def random_free_complex(rng: random.Random, ring: Ring,
             for basis_vec in kernel:
                 c = rng.randint(-2, 2)
                 v = [a + c * b for a, b in zip(v, basis_vec)]
-            cols.append(Mat.from_column_coords(ring, v))
-        bnds.append(Mat.block([cols]))
+            cols.append(v)
+        bnds.append(Mat.from_coord_columns(ring, lo, cols))
     return ProjComplex.free_complex(ring, 0, ranks, bnds)
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 
-from .complexes import ChainMap, Homotopy, HomologyResult, ProjComplex, ProjModule
+from .complexes import ChainMap, Homotopy, ProjComplex, ProjModule
 from .instant import Domination
 from .matrices import Mat, ShapeError
 from .projective import StableFreenessWitness
 from .rings import LaurentRing, Ring, RingMismatch, ring_from_descriptor
-from .verdicts import Report
 
 
 class DocumentError(ValueError):
@@ -67,14 +66,6 @@ def complex_literal(x: ProjComplex, base: Ring) -> dict:
 
 def _components_literal(components: dict) -> dict:
     return {str(n): matrix_literal(m) for n, m in sorted(components.items())}
-
-
-def homology_literal(h: HomologyResult) -> dict:
-    return h.as_dict()
-
-
-def report_literal(rep: Report) -> dict:
-    return rep.as_dict()
 
 
 def witness_literal(w: StableFreenessWitness) -> dict:

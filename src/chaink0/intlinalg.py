@@ -1,16 +1,18 @@
 """Exact integer linear algebra: Smith normal form, kernels, solving.
 
 Everything operates on dense lists of lists of Python ints, so there is no
-overflow anywhere.  Reading a Smith normal form's D, diagonal or rank first
-runs the modular diagonal, whose entries stay below the determinant of a
-full-rank minor.  Reading a transform first runs the exact reduction, whose
-minimal pivots do not bound coefficients: transform entries reach tens of
-thousands of bits on dense 20 x 20 inputs.
+overflow anywhere.  A Smith normal form answers solve, kernel and image
+itself.  Reading its D, diagonal or rank first runs the modular diagonal,
+whose entries stay below the determinant of a full-rank minor.  Reading a
+transform first, as solve, kernel and image do, runs the exact reduction,
+whose minimal pivots do not bound coefficients: transform entries reach
+tens of thousands of bits on dense 20 x 20 inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from math import gcd, lcm
 
 
@@ -66,7 +68,8 @@ class SmithNormalForm:
     transform is read first.  Each transform is replayed from the exact
     reduction's step record when first read: u and v_inv as row operations,
     u_inv and v on the rows of their transposes.  `homology` and the rank
-    readers read only D, `IntegerSolver` u and v, `image_basis` u_inv first.
+    readers read only D; solve, kernel_basis and image_basis each read the
+    transforms they need (u and v, v, u_inv) before D.
     """
 
     m: list[list[int]]
@@ -113,6 +116,33 @@ class SmithNormalForm:
 
     def diagonal(self) -> list[int]:
         return list(self._diagonal)
+
+    @cached_property
+    def _sparse_uv(self) -> tuple[list, list]:
+        """The non-zero (k, x) of each row of u and of v: solve sums over these."""
+        return tuple([[(k, x) for k, x in enumerate(row) if x] for row in t]
+                     for t in (self.u, self.v))
+
+    def solve(self, b: list[int]) -> list[int] | None:
+        """One x with M @ x == b over Z, or None: y = D^-1 (U b), x = V y."""
+        u, v = self._sparse_uv
+        ub = [sum(x * b[k] for k, x in row) for row in u]
+        y = [0] * self.cols
+        for i, (c, di) in enumerate(zip_longest(ub, self._diagonal, fillvalue=0)):
+            if di and c % di == 0:
+                y[i] = c // di
+            elif c:
+                return None
+        return [sum(x * y[k] for k, x in row) for row in v]
+
+    def kernel_basis(self) -> list[list[int]]:
+        """The columns of V past the rank, V read first: a Z-basis of ker(M)."""
+        return [list(c) for c in zip(*self.v)][self.rank:]
+
+    def image_basis(self) -> list[list[int]]:
+        """d_j times column j of U^-1, for each d_j != 0: a Z-basis of M's columns."""
+        u_inv = self.u_inv
+        return [[dj * row[j] for row in u_inv] for j, dj in enumerate(self._diagonal) if dj]
 
 
 def smith_normal_form(m: list[list[int]], cols: int | None = None) -> SmithNormalForm:
@@ -302,48 +332,3 @@ def _reduce(m: list[list[int]], cols: int) -> tuple:
     for i in negated:
         d[i] = [-x for x in d[i]]
     return [d[i][i] for i in range(n)], row_steps, col_steps, negated
-
-
-class IntegerSolver:
-    """Factored form of a matrix for solving M @ x = b repeatedly."""
-
-    def __init__(self, m: list[list[int]], cols: int | None = None):
-        self.rows = len(m)
-        self.cols = cols if cols is not None else (len(m[0]) if self.rows else 0)
-        self.snf = smith_normal_form(m, self.cols)
-        # The non-zero (k, x) of each row of u and v: solve sums over these.
-        self._u, self._v = ([[(k, x) for k, x in enumerate(row) if x] for row in t]
-                            for t in (self.snf.u, self.snf.v))
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        """One solution of M @ x = b over Z, or None."""
-        s = self.snf
-        ub = [sum(x * b[k] for k, x in row) for row in self._u]
-        y = [0] * self.cols
-        n = min(self.rows, self.cols)
-        for i in range(self.rows):
-            if i < n and s.d[i][i] != 0:
-                if ub[i] % s.d[i][i] != 0:
-                    return None
-                y[i] = ub[i] // s.d[i][i]
-            elif ub[i] != 0:
-                return None
-        return [sum(x * y[k] for k, x in row) for row in self._v]
-
-    def kernel_basis(self) -> list[list[int]]:
-        """Columns (as vectors) forming a Z-basis of ker(M)."""
-        s = self.snf
-        n = min(self.rows, self.cols)
-        basis = []
-        for j in range(self.cols):
-            if j >= n or s.d[j][j] == 0:
-                basis.append([s.v[i][j] for i in range(self.cols)])
-        return basis
-
-
-def image_basis(m: list[list[int]]) -> list[list[int]]:
-    """Vectors forming a Z-basis of the column lattice of M."""
-    s = smith_normal_form(m)
-    u_inv = s.u_inv  # read first, so D is the exact reduction's by-product
-    return [[dj * row[j] for row in u_inv] for j, dj in enumerate(s.diagonal()) if dj]
-

@@ -83,6 +83,14 @@ class Mat:
         return cls._of(ring, sum(rb[0].rows for rb in grid), sum(col_widths), entries)
 
     @classmethod
+    def from_coord_columns(cls, ring: Ring, rows: int, columns) -> "Mat":
+        """Unchecked: the rows x len(columns) matrix whose column j has the
+        flattened coordinates columns[j], ring.flat_rank integers per entry."""
+        k = ring.flat_rank
+        return cls._of(ring, rows, len(columns), [ring.from_coords(c[i * k:(i + 1) * k])
+                                                  for i in range(rows) for c in columns])
+
+    @classmethod
     def diag(cls, ring: Ring, *blocks) -> "Mat":
         """The block-diagonal matrix of `blocks`; zero-size blocks pad with
         zero rows or columns, and no blocks at all give the 0 x 0 matrix."""
@@ -202,26 +210,13 @@ class Mat:
                         row[j * k + b] = blk[a][b]
         return out
 
-    def column_coords(self, j: int) -> list[int]:
-        v: list[int] = []
-        for i in range(self.rows):
-            v.extend(self.ring.coords(self[i, j]))
-        return v
-
-    @classmethod
-    def from_column_coords(cls, ring: Ring, v: list[int]) -> "Mat":
-        k = ring.flat_rank
-        if k is None or len(v) % k:
-            raise UnsupportedRing("cannot unflatten over this ring")
-        ents = [ring.from_coords(v[i:i + k]) for i in range(0, len(v), k)]
-        return cls(ring, len(ents), 1, ents)
-
 
 def solve_linear(m: Mat, rhs: Mat) -> Mat | None:
     """One X with m @ X = rhs over the ring, or None when there is none.
 
-    Decided exactly through one Smith normal form of the integer flattening
-    of m, shared by every column of rhs.  Laurent rings are unsupported.
+    Every column of rhs, as integer coordinates, is solved against one Smith
+    normal form of the integer flattening of m, and X is built from the
+    solutions in one step.  Laurent rings are unsupported.
     """
     ring, k = m.ring, m.ring.flat_rank
     if k is None:
@@ -230,14 +225,14 @@ def solve_linear(m: Mat, rhs: Mat) -> Mat | None:
         raise RingMismatch("right-hand side over the wrong ring")
     if rhs.rows != m.rows:
         raise ShapeError("right-hand side has wrong height")
-    solver = intlinalg.IntegerSolver(m.flatten(), m.cols * k)
+    snf = intlinalg.smith_normal_form(m.flatten(), m.cols * k)
     cols = []
     for j in range(rhs.cols):
-        x = solver.solve(rhs.column_coords(j))
+        x = snf.solve([c for e in rhs.entries[j::rhs.cols] for c in ring.coords(e)])
         if x is None:
             return None
-        cols.append(Mat.from_column_coords(ring, x))
-    return Mat.block([cols]) if cols else Mat.zero(ring, m.cols, 0)
+        cols.append(x)
+    return Mat.from_coord_columns(ring, m.cols, cols)
 
 
 def ring_kernel_coords(m: Mat) -> list[list[int]]:
@@ -245,4 +240,4 @@ def ring_kernel_coords(m: Mat) -> list[list[int]]:
     k = m.ring.flat_rank
     if k is None:
         raise UnsupportedRing("no finite flattening over this ring")
-    return intlinalg.IntegerSolver(m.flatten(), m.cols * k).kernel_basis()
+    return intlinalg.smith_normal_form(m.flatten(), m.cols * k).kernel_basis()

@@ -171,7 +171,7 @@ class IdealLattice:
 
     def contains(self, elem: RingElement) -> bool:
         (a0, b0), (a1, b1) = self.basis
-        return intlinalg.IntegerSolver([[a0, a1], [b0, b1]]).solve(
+        return intlinalg.smith_normal_form([[a0, a1], [b0, b1]]).solve(
             self.ring.coords(elem)) is not None
 
     def elements(self) -> tuple[RingElement, RingElement]:
@@ -190,7 +190,7 @@ def ideal_of_module(p: ProjModule) -> IdealLattice:
         raise UnsupportedRing("ideal extraction needs a quadratic ring")
     if rank(p) != 1:
         raise UnsupportedRing("ideal extraction needs a rank-one module")
-    cols = intlinalg.image_basis(p.idem.flatten())
+    cols = intlinalg.smith_normal_form(p.idem.flatten()).image_basis()
     if len(cols) != 2:
         raise ArithmeticError("rank-one module with lattice rank != 2")
     for i in range(p.ambient_rank):
@@ -205,7 +205,7 @@ def ideal_product(x: IdealLattice, y: IdealLattice) -> IdealLattice:
     """The product ideal, as the lattice spanned by pairwise products."""
     ring = x.ring
     prods = [ring.coords(a * b) for a in x.elements() for b in y.elements()]
-    basis = intlinalg.image_basis([[p[0] for p in prods], [p[1] for p in prods]])
+    basis = intlinalg.smith_normal_form([list(c) for c in zip(*prods)]).image_basis()
     if len(basis) != 2:
         raise ArithmeticError("degenerate ideal product")
     return IdealLattice(ring, (tuple(basis[0]), tuple(basis[1])))

@@ -418,9 +418,6 @@ class QuadraticRing(_LatticeRing):
         c, e = y
         return (a * c + self.d * b * e, a * e + b * c)
 
-    def conjugate(self, a: RingElement) -> RingElement:
-        return RingElement(self, (a.data[0], -a.data[1]))
-
     def regular_representation(self, a):
         x, y = a.data
         return [[x, self.d * y], [y, x]]

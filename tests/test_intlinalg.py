@@ -9,7 +9,7 @@ def random_matrix(rng, rows, cols, bound):
 
 
 def kernel_basis(m):
-    return il.IntegerSolver(m).kernel_basis()
+    return il.smith_normal_form(m).kernel_basis()
 
 
 def columns_to_matrix(cols, rows):
@@ -148,15 +148,15 @@ def test_solver_on_consistent_systems():
         m = random_matrix(rng, rows, cols, 9)
         x = [rng.randint(-5, 5) for _ in range(cols)]
         b = [sum(m[i][j] * x[j] for j in range(cols)) for i in range(rows)]
-        got = il.IntegerSolver(m).solve(b)
+        got = il.smith_normal_form(m).solve(b)
         assert got is not None
         assert [sum(m[i][j] * got[j] for j in range(cols))
                 for i in range(rows)] == b
 
 
 def test_solver_detects_no_solution():
-    assert il.IntegerSolver([[2]]).solve([3]) is None
-    assert il.IntegerSolver([[2]]).solve([4]) == [2]
+    assert il.smith_normal_form([[2]]).solve([3]) is None
+    assert il.smith_normal_form([[2]]).solve([4]) == [2]
 
 
 def test_kernel_basis():
@@ -184,17 +184,17 @@ def test_image_basis_spans_columns():
     for _ in range(60):
         rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
         m = random_matrix(rng, rows, cols, 5)
-        basis = il.image_basis(m)
+        basis = il.smith_normal_form(m).image_basis()
         if not basis:
             assert all(all(v == 0 for v in row) for row in m)
             continue
-        span = il.IntegerSolver(columns_to_matrix(basis, rows), len(basis))
+        span = il.smith_normal_form(columns_to_matrix(basis, rows), len(basis))
         for col in ([m[i][j] for i in range(rows)] for j in range(cols)):
             assert span.solve(col) is not None
 
 
 def dense_solve(s, rows, cols, b):
-    """IntegerSolver.solve's dense formula: y = D^-1 (U b), x = V y."""
+    """SmithNormalForm.solve's dense formula: y = D^-1 (U b), x = V y."""
     ub = [sum(s.u[i][k] * b[k] for k in range(rows)) for i in range(rows)]
     y = [0] * cols
     for i in range(rows):
@@ -237,13 +237,29 @@ def test_sparse_solve_matches_the_dense_formula():
     outcomes = set()
     for m, cols in seeded_systems():
         rows = len(m)
-        solver = il.IntegerSolver(m, cols)
+        s = il.smith_normal_form(m, cols)
         x = [rng.randint(-5, 5) for _ in range(cols)]
         for b in ([sum(m[i][j] * x[j] for j in range(cols)) for i in range(rows)],
                   [rng.randint(-9, 9) for _ in range(rows)]):
-            got = solver.solve(b)
-            assert got == dense_solve(solver.snf, rows, cols, b)
+            got = s.solve(b)
+            assert got == dense_solve(s, rows, cols, b)
             if got is not None:
                 assert [sum(m[i][j] * got[j] for j in range(cols)) for i in range(rows)] == b
             outcomes.add(got is None)
     assert outcomes == {True, False}
+
+
+def test_solve_kernel_and_image_run_no_modular_diagonal(monkeypatch):
+    """solve, kernel_basis and image_basis read their transforms before D, so
+    D is the exact reduction's by-product and the modular path never runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a transform reader ran the modular diagonal")
+
+    monkeypatch.setattr(il, "_minor_det", forbidden)
+    monkeypatch.setattr(il, "_modular_diagonal", forbidden)
+    m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16], [2, 4, 4]]
+    assert il.smith_normal_form(m).solve([2, -6, 10, 2]) is not None
+    assert il.smith_normal_form(m).solve([1, 0, 0, 0]) is None
+    kernel = il.smith_normal_form([[1, 1, 2]]).kernel_basis()
+    assert len(kernel) == 2 and all(x + y + 2 * z == 0 for x, y, z in kernel)
+    assert len(il.smith_normal_form(m).image_basis()) == 3

@@ -118,6 +118,27 @@ def test_solve_linear_solves_consistent_systems():
             assert x is not None and m @ x == b
 
 
+def test_solve_linear_solves_all_columns_as_each_column():
+    rng = random.Random(20)
+    outcomes = set()
+    for ring in (ZZ, C2, S3, Q5):
+        for _ in range(8):
+            m = random_mat(rng, ring, 2, 3, bound=2)
+            b = random_mat(rng, ring, 2, 3, bound=2)
+            if rng.random() < 0.7:
+                b = m @ random_mat(rng, ring, 3, 3, bound=2)
+            columns = [solve_linear(m, b.submatrix(range(2), [j])) for j in range(3)]
+            x = solve_linear(m, b)
+            outcomes.add(x is None)
+            if None in columns:
+                assert x is None
+            else:
+                assert x == Mat.block([columns]) and m @ x == b
+        x = solve_linear(random_mat(rng, ring, 2, 3), Mat.zero(ring, 2, 0))
+        assert (x.rows, x.cols) == (3, 0)
+    assert outcomes == {True, False}
+
+
 def test_solve_linear_rejects_laurent():
     lz = LaurentRing(ZZ)
     m = Mat.identity(lz, 1)
@@ -130,9 +151,8 @@ def test_ring_kernel_coords():
     for ring in FINITE_RINGS:
         for _ in range(15):
             m = random_mat(rng, ring, 2, 3)
-            for v in ring_kernel_coords(m):
-                col = Mat.from_column_coords(ring, v)
-                assert (m @ col).is_zero
+            kernel = ring_kernel_coords(m)
+            assert (m @ Mat.from_coord_columns(ring, 3, kernel)).is_zero
 
 
 def random_elem(rng, ring, bound=3):
