@@ -97,6 +97,27 @@ def memo_literal(ring, extension, valid, bad, same_matrix: bool) -> dict:
     return {"ring": ring, "complexes": complexes}
 
 
+def fault_literal(fault: str) -> dict:
+    """The Z corpus with one fault in dom3's objects, which a command on dom0
+    does not read: a map component of the wrong shape, a domination naming a
+    missing map, or a non-idempotent module."""
+    doc = generate_corpus(0, CORPUS_COUNT, "integers")
+    if fault == "shape":
+        comp = next(iter(doc["maps"]["i3"]["components"].values()))
+        comp["entries"] += ["0"] * comp["cols"]
+        comp["rows"] += 1
+    elif fault == "reference":
+        doc["dominations"]["dom3"]["i"] = "ghost"
+    else:
+        mod = next(m for m in doc["complexes"]["A3"]["modules"] if m["ambient_rank"])
+        n = mod["ambient_rank"]
+        mod["idempotent"] = {"rows": n, "cols": n, "entries": ["2"] * (n * n)}
+    return doc
+
+
+FAULTS = ("shape", "reference", "idempotent")
+
+
 # Z, A = C = Z in degree 0, i = 1, r = 0, s = 0: the homotopy 1 - ri = 1
 # is not witnessed, so the domination is invalid.
 INVALID = {
@@ -243,6 +264,9 @@ def write_documents(docs: pathlib.Path) -> None:
             text = canonical_json(memo_literal(ring, extension, valid, bad, same))
             (docs / f"memo-{name}-{'one' if same else 'two'}.json").write_text(
                 text, encoding="utf-8")
+    for fault in FAULTS:
+        (docs / f"fault-{fault}.json").write_text(
+            canonical_json(fault_literal(fault)), encoding="utf-8")
 
 
 def cases(docs: pathlib.Path) -> dict:
@@ -312,6 +336,11 @@ def cases(docs: pathlib.Path) -> dict:
         for where in ("one", "two"):
             out[f"verify memo-{name}-{where} X"] = [
                 "verify", "--input", str(docs / f"memo-{name}-{where}.json"), "--name", "X"]
+        out[f"verify memo-{name}-two W"] = [
+            "verify", "--input", str(docs / f"memo-{name}-two.json"), "--name", "W"]
+    for fault in FAULTS:
+        out[f"obstruction fault-{fault} dom0"] = [
+            "obstruction", "--input", str(docs / f"fault-{fault}.json"), "--name", "dom0"]
     return out
 
 
