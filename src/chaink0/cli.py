@@ -29,13 +29,14 @@ from .verdicts import Report, VerificationFailed
 
 
 def _load(args) -> tuple[Workspace, str]:
-    """The parsed document and the SHA-256 of its raw text."""
+    """The document, built for --name and any --witness, and its SHA-256."""
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as ex:
         raise DocumentError(f"cannot read input: {ex}") from ex
-    return parse_workspace(text), hashlib.sha256(text.encode("utf-8")).hexdigest()
+    names = [args.name] + ([args.witness] if hasattr(args, "witness") else [])
+    return parse_workspace(text, names), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _emit(args, payload: dict) -> None:

@@ -10,6 +10,7 @@ indented JSON with a trailing newline.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from .complexes import ChainMap, Homotopy, ProjComplex, ProjModule
 from .instant import Domination
@@ -96,34 +97,51 @@ def _count(lit, key, cap=None) -> int:
     return v
 
 
-def parse_matrix(lit, ring: Ring, memo: dict | None = None) -> Mat:
-    """memo, one per parse_workspace call, maps a ring to the first equal
-    ring object seen and its elements by repr(literal), so that a document
-    parses each distinct literal once and equal rings share one object.
-    repr tells true, 1.0, 1 and "1" apart; a failed literal is never stored.
+class _Shape(NamedTuple):
+    """A matrix outside what a parse builds: all that the shape rules read."""
+    ring: Ring
+    rows: int
+    cols: int
+    is_zero = True
+
+
+def _known(memo: dict | None, ring: Ring) -> tuple:
+    """The parse's first ring equal to ring, and its memos (see parse_matrix)."""
+    return (ring, {}, {}, {}) if memo is None else memo.setdefault(ring, (ring, {}, {}, {}))
+
+
+def parse_matrix(lit, ring: Ring, memo: dict | None = None, build: bool = True):
+    """Checks every entry literal; returns the Mat, or a _Shape if not build.
+    memo, one per parse_workspace call, maps a ring to the first equal ring,
+    its elements by literal and its free modules by rank.  A string literal
+    (all of Z) is its own key, any other its repr in a second memo, so "1",
+    1, 1.0 and true never share an entry; a failed literal is never stored.
     parse_module also maps each checked idempotent matrix to its module."""
     rows = _count(lit, "rows")
     cols = _count(lit, "cols")
     entries = _expect(lit, "entries", list)
     if len(entries) != rows * cols:
         raise DocumentError(f"matrix needs {rows * cols} entries, got {len(entries)}")
-    ring, known = (ring, {}) if memo is None else memo.setdefault(ring, (ring, {}))
-    elems = []
+    ring, strings, reprs, _ = _known(memo, ring)
+    known, keys = ((strings, entries) if set(map(type, entries)) <= {str}
+                   else (reprs, list(map(repr, entries))))
     try:
-        for e in entries:
-            if (a := known.get(key := repr(e))) is None:
-                a = known[key] = ring.parse_literal(e)
-            elems.append(a)
+        for key, e in dict(zip(keys, entries)).items():  # distinct literals, in order
+            if key not in known:
+                known[key] = ring.parse_literal(e)
     except (ValueError, TypeError, KeyError, IndexError) as ex:
         raise DocumentError(f"bad ring-element literal: {ex}") from ex
-    return Mat._of(ring, rows, cols, elems)
+    if not build:
+        return _Shape(ring, rows, cols)
+    return Mat._of(ring, rows, cols, map(known.__getitem__, keys))
 
 
 def parse_module(lit, ring: Ring, memo: dict | None = None) -> ProjModule:
     rank = _count(lit, "ambient_rank", MAX_RANK)
     idem = _expect(lit, "idempotent")
     if idem == "free":
-        return ProjModule.free(ring, rank)
+        free = _known(memo, ring)[3]
+        return free.get(rank) or free.setdefault(rank, ProjModule.free(ring, rank))
     if (flat := rank * (ring.flat_rank or 1)) > MAX_IDEMPOTENT_FLAT_RANK:
         raise DocumentError(f"field 'ambient_rank' of a non-free module: flattened rank "
                             f"must be at most {MAX_IDEMPOTENT_FLAT_RANK}, got {flat}")
@@ -142,12 +160,12 @@ def parse_module(lit, ring: Ring, memo: dict | None = None) -> ProjModule:
     return p
 
 
-def parse_complex(lit, ring: Ring, memo: dict | None = None) -> ProjComplex:
+def parse_complex(lit, ring: Ring, memo: dict | None = None, build: bool = True):
     bottom = _expect(lit, "bottom_degree", int)
     if lit.get("extension") == "laurent":
-        ring = LaurentRing(ring)
+        ring = _known(memo, LaurentRing(ring))[0]
     mods = [parse_module(m, ring, memo) for m in _expect(lit, "modules", list)]
-    bnds = [parse_matrix(b, ring, memo) for b in _expect(lit, "boundaries", list)]
+    bnds = [parse_matrix(b, ring, memo, build) for b in _expect(lit, "boundaries", list)]
     try:
         return ProjComplex(ring, bottom, mods, bnds)
     except (ShapeError, RingMismatch) as ex:
@@ -156,6 +174,9 @@ def parse_complex(lit, ring: Ring, memo: dict | None = None) -> ProjComplex:
 
 class Workspace:
     """A parsed document: the ring plus name-resolved object tables."""
+
+    # The tables in the order find reads them: a name in two resolves to the first.
+    TABLES = ("complexes", "maps", "dominations", "modules", "homotopies", "witnesses")
 
     def __init__(self, ring: Ring, _source: dict | None = None):
         # bench/workloads.py still passes the source object; it is not kept.
@@ -168,11 +189,17 @@ class Workspace:
         self.witnesses: dict[str, StableFreenessWitness] = {}
 
     def find(self, name: str):
-        for table in (self.complexes, self.maps, self.dominations,
-                      self.modules, self.homotopies, self.witnesses):
-            if name in table:
+        for key in self.TABLES:
+            if name in (table := getattr(self, key)):
                 return table[name]
         raise DocumentError(f"unresolved reference: {name!r}")
+
+
+# The fields by which an object names others: (field, table, noun in errors).
+_ENDS = (("source", "complexes", "complex"), ("target", "complexes", "complex"))
+_REFS = {"maps": _ENDS, "homotopies": _ENDS, "dominations": (
+    ("A", "complexes", "complex"), ("C", "complexes", "complex"), ("i", "maps", "map"),
+    ("r", "maps", "map"), ("s", "homotopies", "homotopy"))}
 
 
 def _ref(table: dict, name, what: str):
@@ -189,7 +216,26 @@ def _table(raw: dict, key: str) -> list:
     return sorted(table.items())
 
 
-def parse_workspace(text: str) -> Workspace:
+def _closure(raw: dict, names) -> set:
+    """The (table, name) pairs of the objects named in names and, through
+    _REFS, of those they name.  Unchecked: parse_workspace checks."""
+    todo, out = [(key, name) for name in names for key in Workspace.TABLES], set()
+    while todo:
+        key, name = todo.pop()
+        table = raw.get(key)
+        lit = table.get(name) if isinstance(table, dict) and isinstance(name, str) else None
+        if lit is not None and (key, name) not in out:
+            out.add((key, name))
+            if isinstance(lit, dict):
+                todo += [(t, lit.get(f)) for f, t, _ in _REFS.get(key, ())]
+    return out
+
+
+def parse_workspace(text: str, names) -> Workspace:
+    """The objects that names reach (see _closure).  Every object is checked
+    alike whatever names holds: one outside the closure goes through the same
+    readers and constructors with _Shape matrices (a non-free idempotent is
+    built and squared), and is then dropped."""
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as ex:  # also too many digits or too deep
@@ -200,40 +246,39 @@ def parse_workspace(text: str) -> Workspace:
         ring = ring_from_descriptor(_expect(raw, "ring", dict))
     except (ValueError, TypeError, KeyError) as ex:
         raise DocumentError(f"bad ring descriptor: {ex}") from ex
-    ws, memo = Workspace(ring), {}
+    ws, memo, wanted = Workspace(ring), {}, _closure(raw, names)
     for name, lit in _table(raw, "modules"):
         ws.modules[name] = parse_module(lit, ring, memo)
     for name, lit in _table(raw, "complexes"):
-        ws.complexes[name] = parse_complex(lit, ring, memo)
+        ws.complexes[name] = parse_complex(lit, ring, memo, ("complexes", name) in wanted)
 
     for key, table, cls, what in (("maps", ws.maps, ChainMap, "map"),
                                   ("homotopies", ws.homotopies, Homotopy, "homotopy")):
         for name, lit in _table(raw, key):
-            src = _ref(ws.complexes, _expect(lit, "source"), "complex")
-            tgt = _ref(ws.complexes, _expect(lit, "target"), "complex")
+            src, tgt = (_ref(getattr(ws, t), _expect(lit, f), noun)
+                        for f, t, noun in _REFS[key])
             comps = {}
             for ds, mlit in _expect(lit, "components", dict).items():
                 try:
                     deg = int(ds)
                 except ValueError as ex:
                     raise DocumentError(f"bad degree key {ds!r}") from ex
-                comps[deg] = parse_matrix(mlit, src.ring, memo)
+                comps[deg] = parse_matrix(mlit, src.ring, memo, (key, name) in wanted)
             try:
                 table[name] = cls(src, tgt, comps)
             except (ShapeError, RingMismatch) as ex:
                 raise DocumentError(f"{what} {name!r}: {ex}") from ex
     for name, lit in _table(raw, "witnesses"):
+        build = ("witnesses", name) in wanted
         ws.witnesses[name] = StableFreenessWitness(
             _count(lit, "a", MAX_RANK), _count(lit, "b", MAX_RANK),
-            parse_matrix(_expect(lit, "iso"), ring, memo),
-            parse_matrix(_expect(lit, "iso_inverse"), ring, memo))
+            parse_matrix(_expect(lit, "iso"), ring, memo, build),
+            parse_matrix(_expect(lit, "iso_inverse"), ring, memo, build))
     for name, lit in _table(raw, "dominations"):
-        ws.dominations[name] = Domination(
-            A=_ref(ws.complexes, _expect(lit, "A"), "complex"),
-            C=_ref(ws.complexes, _expect(lit, "C"), "complex"),
-            i=_ref(ws.maps, _expect(lit, "i"), "map"),
-            r=_ref(ws.maps, _expect(lit, "r"), "map"),
-            s=_ref(ws.homotopies, _expect(lit, "s"), "homotopy"))
+        ws.dominations[name] = Domination(**{f: _ref(getattr(ws, t), _expect(lit, f), noun)
+                                             for f, t, noun in _REFS["dominations"]})
+    for key in Workspace.TABLES:
+        setattr(ws, key, {n: v for n, v in getattr(ws, key).items() if (key, n) in wanted})
     return ws
 
 

@@ -24,6 +24,14 @@ def fixture_text(name):
     return (FIXTURES / name).read_text()
 
 
+def parse_all(text: str) -> Workspace:
+    """parse_workspace asked for every name the document defines, so that
+    every object is built."""
+    raw = json.loads(text)
+    return parse_workspace(text, [name for key in Workspace.TABLES
+                                  if isinstance(raw.get(key), dict) for name in raw[key]])
+
+
 def test_canonical_json_is_stable():
     a = canonical_json({"b": 1, "a": [2, 3]})
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
@@ -69,11 +77,11 @@ def test_parse_complex_laurent_marker():
 
 def test_parse_errors():
     with pytest.raises(DocumentError, match="not valid JSON"):
-        parse_workspace("{ nope")
+        parse_workspace("{ nope", [])
     with pytest.raises(DocumentError, match="JSON object"):
-        parse_workspace("[1, 2]")
+        parse_workspace("[1, 2]", [])
     with pytest.raises(DocumentError, match="ring"):
-        parse_workspace("{}")
+        parse_workspace("{}", [])
     with pytest.raises(DocumentError, match="missing field"):
         parse_matrix({"rows": 1, "cols": 1}, ZZ)
     with pytest.raises(DocumentError, match="entries"):
@@ -90,11 +98,11 @@ def test_parse_unresolved_reference():
            "maps": {"f": {"source": "pt", "target": "ghost",
                           "components": {}}}}
     with pytest.raises(DocumentError, match="unresolved"):
-        parse_workspace(canonical_json(doc))
+        parse_all(canonical_json(doc))
 
 
 def test_fixture_ideal_parses():
-    ws = parse_workspace(fixture_text("ideal.json"))
+    ws = parse_all(fixture_text("ideal.json"))
     assert ws.ring.kind == "quadratic"
     dom = ws.dominations["dom1"]
     assert verify_domination(dom).ok
@@ -102,28 +110,28 @@ def test_fixture_ideal_parses():
 
 
 def test_fixture_rp2_parses():
-    ws = parse_workspace(fixture_text("rp2.json"))
+    ws = parse_all(fixture_text("rp2.json"))
     assert set(ws.complexes) == {"X", "circle"}
     assert ws.complexes["X"].rank_at(2) == 1
     assert ws.modules["line"].is_free
 
 
 def test_fixture_bad_has_real_violations():
-    ws = parse_workspace(fixture_text("bad.json"))
+    ws = parse_all(fixture_text("bad.json"))
     # parses fine; the defects are semantic, caught by the verifiers
     assert "brokenMap" in ws.maps and "badComplex" in ws.complexes
 
 
 def test_fixture_malformed_rejected():
     with pytest.raises(DocumentError):
-        parse_workspace(fixture_text("malformed.json"))
+        parse_workspace(fixture_text("malformed.json"), [])
 
 
 def test_round_trip_is_idempotent():
     for name in ("ideal.json", "rp2.json", "bad.json"):
-        ws = parse_workspace(fixture_text(name))
+        ws = parse_all(fixture_text(name))
         printed = canonical_json(workspace_literal(ws))
-        ws2 = parse_workspace(printed)
+        ws2 = parse_all(printed)
         assert canonical_json(workspace_literal(ws2)) == printed
         assert set(ws2.complexes) == set(ws.complexes)
         for key in ws.complexes:
@@ -165,8 +173,8 @@ def test_memoised_parse_equals_a_literal_by_literal_parse(monkeypatch):
     constructor, and every entry lies over the matrix's own ring object."""
     seen = []
 
-    def recording(lit, ring, memo=None):
-        m = parse_matrix(lit, ring, memo)
+    def recording(lit, ring, memo=None, build=True):
+        m = parse_matrix(lit, ring, memo, build)
         seen.append((lit, ring, m))
         return m
 
@@ -174,7 +182,7 @@ def test_memoised_parse_equals_a_literal_by_literal_parse(monkeypatch):
     kinds = set()
     for text in memo_documents():
         seen.clear()
-        parse_workspace(text)
+        parse_all(text)
         assert seen
         for lit, ring, m in seen:
             want = Mat(ring, lit["rows"], lit["cols"],
@@ -212,7 +220,7 @@ def test_parse_makes_one_parse_literal_call_per_distinct_literal(monkeypatch):
     shared = 0
     for text in memo_documents():
         calls.clear()
-        parse_workspace(text)
+        parse_all(text)
         entries = entry_literals(json.loads(text))
         distinct = {json.dumps(e) for e in entries}
         assert 0 < len(calls) <= len(distinct)
@@ -228,4 +236,52 @@ def test_parse_makes_one_parse_literal_call_per_distinct_literal(monkeypatch):
 ], ids=["integer-digits", "nesting"])
 def test_json_past_python_limits_is_a_document_error(text, message):
     with pytest.raises(DocumentError, match=message):
-        parse_workspace(text)
+        parse_workspace(text, [])
+
+
+CORPUS_25 = canonical_json(generate_corpus(0, 25, "integers"))
+DOM3 = {("dominations", "dom3"), ("complexes", "A3"), ("complexes", "C3"),
+        ("maps", "i3"), ("maps", "r3"), ("homotopies", "s3")}
+
+
+def test_parse_builds_the_closure_of_the_named_objects():
+    """dom3, its complexes, maps and homotopy, as the whole parse builds them."""
+    ws, whole = parse_workspace(CORPUS_25, ["dom3"]), workspace_literal(parse_all(CORPUS_25))
+    assert {(key, name) for key in Workspace.TABLES for name in getattr(ws, key)} == DOM3
+    got = workspace_literal(ws)
+    assert all(got[key][name] == whole[key][name] for key, name in DOM3)
+    assert verify_domination(ws.find("dom3")).ok
+
+
+def test_parse_builds_no_matrix_outside_the_closure(monkeypatch):
+    """Mat._of, as parse_matrix calls it, builds the matrix literals of the
+    closure of dom3 and nothing else."""
+    built = []
+
+    class Spy:
+        @staticmethod
+        def _of(ring, rows, cols, entries):
+            built.append(m := Mat._of(ring, rows, cols, entries))
+            return m
+
+    monkeypatch.setattr(documents, "Mat", Spy)
+    parse_workspace(CORPUS_25, ["dom3"])
+    raw = json.loads(CORPUS_25)
+    want = [b for x in ("A3", "C3") for b in raw["complexes"][x]["boundaries"]]
+    want += [c for key, name in (("maps", "i3"), ("maps", "r3"), ("homotopies", "s3"))
+             for c in raw[key][name]["components"].values()]
+    assert sorted(canonical_json(matrix_literal(m)) for m in built) == sorted(
+        canonical_json(lit) for lit in want)
+
+
+def test_parse_builds_every_object_that_bears_a_name():
+    """free-replace reads its --witness from the witness table, even when a
+    complex, which find reads first, has the same name."""
+    point = {"bottom_degree": 0, "boundaries": [],
+             "modules": [{"ambient_rank": 1, "idempotent": "free"}]}
+    one = {"rows": 1, "cols": 1, "entries": ["1"]}
+    doc = {"ring": {"kind": "integers"}, "complexes": {"X": point, "Y": point},
+           "witnesses": {"X": {"a": 0, "b": 1, "iso": one, "iso_inverse": one}}}
+    ws = parse_workspace(canonical_json(doc), ["X"])
+    assert set(ws.complexes) == set(ws.witnesses) == {"X"}
+    assert ws.find("X") is ws.complexes["X"]

@@ -2,7 +2,9 @@
 corpus document with one or two fields replaced, each by a value from a
 fixed pool or by a value taken from elsewhere in the same document.  Every
 case must end in exit 0, 1 or 2, with no traceback, one `error:` line on
-exit 1, and within a per-case deadline.
+exit 1, and within a per-case deadline.  The same mutations, also of a
+three-domination ℤ corpus, must parse to the same error or the same objects
+whichever names the parse is asked to build.
 """
 import contextlib
 import copy
@@ -16,6 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaink0.cli import main
 from chaink0.corpus import generate_corpus
+from chaink0.documents import DocumentError, Workspace, parse_workspace, workspace_literal
+from chaink0.matrices import ShapeError
+from chaink0.rings import RingMismatch, UnsupportedRing
 from test_golden import load_workloads
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -32,6 +37,7 @@ POOL = (2 ** 70, -1, 0, 1, True, 1.0, "01", "-0", "1", None, [], {}, "free",
 DOCS = {f"tests/fixtures/{f}": json.loads((ROOT / "tests" / "fixtures" / f).read_text())
         for f in ("ideal.json", "rp2.json", "bad.json")}
 DOCS["corpus-c2"] = generate_corpus(0, 1, "c2")
+DOCS["corpus-z3"] = generate_corpus(0, 3, "integers")
 COMMANDS = [argv for argv, _ in load_workloads().fixture_commands(0)
             if "--input" in argv and argv[argv.index("--input") + 1] in DOCS]
 COMMANDS += [["obstruction", "--input", "corpus-c2", "--name", "dom0"],
@@ -72,18 +78,22 @@ def _get(doc, path):
     return doc
 
 
-@st.composite
-def cases(draw):
-    """A command and its document with one or two fields replaced, each by a
-    pool value or by a value found elsewhere in the same document."""
-    argv = list(draw(st.sampled_from(COMMANDS)))
-    name = argv[argv.index("--input") + 1]
+def _mutated(draw, name: str) -> dict:
+    """DOCS[name] with one or two fields replaced, each by a pool value or by
+    a value found elsewhere in the same document."""
     doc = copy.deepcopy(DOCS[name])
     spliced = st.sampled_from(PATHS[name]).map(lambda p: _get(DOCS[name], p))
     for _ in range(draw(st.integers(1, 2))):
         value = copy.deepcopy(draw(st.one_of(st.sampled_from(POOL), spliced)))
         _replace(doc, draw(st.sampled_from(PATHS[name])), value)
-    return argv, doc
+    return doc
+
+
+@st.composite
+def cases(draw):
+    """A command and its mutated document."""
+    argv = list(draw(st.sampled_from(COMMANDS)))
+    return argv, _mutated(draw, argv[argv.index("--input") + 1])
 
 
 class Overran(Exception):
@@ -119,3 +129,48 @@ def test_mutated_documents_keep_the_cli_contract(case):
     if code == 1:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# What parse_workspace raises on a malformed document, as the CLI reports it.
+PARSE_ERRORS = (DocumentError, UnsupportedRing, RingMismatch, ShapeError)
+
+
+def _names(doc: dict) -> list:
+    return sorted({name for key in Workspace.TABLES
+                   if isinstance(doc.get(key), dict) for name in doc[key]})
+
+
+def _parsed(text: str, names):
+    """(error message, None) or (None, {(table, name): literal})."""
+    try:
+        ws = parse_workspace(text, names)
+    except PARSE_ERRORS as ex:
+        return f"{type(ex).__name__}: {ex}", None
+    return None, {(key, name): lit for key, table in workspace_literal(ws).items()
+                  if key != "ring" for name, lit in table.items()}
+
+
+@st.composite
+def named_documents(draw):
+    """A mutated document and at most 6 of its names."""
+    doc = _mutated(draw, draw(st.sampled_from(sorted(DOCS))))
+    names = _names(doc) if isinstance(doc, dict) else []
+    return doc, draw(st.lists(st.sampled_from(names), min_size=1, max_size=6, unique=True)
+                     if names else st.just([]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(named_documents())
+def test_parse_errors_do_not_depend_on_the_names_asked_for(case):
+    """Asked for one name, a parse raises what the parse asked for every name
+    raises, or both succeed and build the same objects for that name."""
+    doc, names = case
+    text = json.dumps(doc)
+    error, whole = _parsed(text, _names(doc))
+    for name in names:
+        got_error, got = _parsed(text, [name])
+        assert got_error == error, (name, doc)
+        if error is None:
+            assert {k for k in whole if k[1] == name} <= got.keys()
+            assert all(whole[k] == lit for k, lit in got.items()), (name, doc)
