@@ -58,13 +58,12 @@ def _plus(a: list, b: list) -> list:
     return [[u + v for u, v in zip(r, q)] for r, q in zip(a, b)]
 
 
-def _compose(*pairs) -> dict:
+def _compose(products: dict, *pairs) -> dict:
     """The sum of the block maps a b over the (a, b) pairs.  A block map is
     {(row, column): integer block} with absent blocks zero; the result holds
     every block that some product reaches.  The blocks are a few shared
-    matrices, so each distinct product of two of them is computed once."""
+    matrices, so products, kept across one check, forms each once."""
     out: dict = {}
-    products: dict = {}
     for a, b in pairs:
         rows_of_b: dict = {}
         for (z, j), y in b.items():
@@ -116,13 +115,14 @@ def laurent_window_check(p: ProjModule, window: int) -> WindowedLaurentCheck:
 
     idempotent = p.is_free or p.is_idempotent
     details = [] if idempotent else ["e is not idempotent"]
+    products: dict = {}
     identities = (
-        (_compose((lift, bnd)), domain_one,
+        (_compose(products, (lift, bnd)), domain_one,
          "L after boundary is not the identity"),
-        (_compose((bnd, lift), (tau, phi)), {(x, x): one for x in xs},
+        (_compose(products, (bnd, lift), (tau, phi)), {(x, x): one for x in xs},
          "D L + tau phi is not the identity"),
-        (_compose((phi, bnd)), {}, "phi after boundary is nonzero"),
-        (_compose((phi, tau)), {("im", "im"): e}, "phi tau is not e"))
+        (_compose(products, (phi, bnd)), {}, "phi after boundary is nonzero"),
+        (_compose(products, (phi, tau)), {("im", "im"): e}, "phi tau is not e"))
     holds = [_agrees(got, want, zero) for got, want, _ in identities]
     details += [fault for (_, _, fault), ok in zip(identities, holds) if not ok]
     return WindowedLaurentCheck(n, idempotent and holds[0],

@@ -95,6 +95,22 @@ def test_window_check_runs_no_smith_normal_form(monkeypatch):
     assert chk.ok and chk.cokernel_rank == snf_rank > 0
 
 
+@pytest.mark.parametrize("window", [3, 8, 24])
+def test_window_check_forms_each_product_once(window, monkeypatch):
+    """The four block identities are built from products of e, -e and 1 - e
+    over 7 distinct operand pairs, each formed once per check."""
+    calls = []
+
+    def counting(a, b):
+        calls.append((id(a), id(b)))
+        return mat_mul(a, b)
+
+    mat_mul = intlinalg.mat_mul
+    monkeypatch.setattr(intlinalg, "mat_mul", counting)
+    assert laurent_window_check(split_line(), window).ok
+    assert len(calls) == len(set(calls)) == 7
+
+
 def test_laurent_resolution_shape():
     cx, chk = laurent_resolution(split_line(), window=4)
     assert chk.ok
