@@ -113,27 +113,30 @@ def _known(memo: dict | None, ring: Ring) -> tuple:
 def parse_matrix(lit, ring: Ring, memo: dict | None = None, build: bool = True):
     """Checks every entry literal; returns the Mat, or a _Shape if not build.
     memo, one per parse_workspace call, maps a ring to the first equal ring,
-    its elements by literal and its free modules by rank.  A string literal
-    (all of Z) is its own key, any other its repr in a second memo, so "1",
-    1, 1.0 and true never share an entry; a failed literal is never stored.
-    parse_module also maps each checked idempotent matrix to its module."""
+    its elements by literal and its free modules by rank, and each checked
+    idempotent to its module.  A string literal (all of Z) is its own key,
+    any other its repr in a second memo, so "1", 1, 1.0 and true differ."""
     rows = _count(lit, "rows")
     cols = _count(lit, "cols")
     entries = _expect(lit, "entries", list)
     if len(entries) != rows * cols:
         raise DocumentError(f"matrix needs {rows * cols} entries, got {len(entries)}")
     ring, strings, reprs, _ = _known(memo, ring)
-    known, keys = ((strings, entries) if set(map(type, entries)) <= {str}
+    try:
+        distinct = set(entries)  # raises on a list literal
+    except TypeError:
+        distinct = {None}
+    known, keys = ((strings, entries) if all(type(e) is str for e in distinct)
                    else (reprs, list(map(repr, entries))))
     try:
-        for key, e in dict(zip(keys, entries)).items():  # distinct literals, in order
-            if key not in known:
-                known[key] = ring.parse_literal(e)
+        if new := (distinct if keys is entries else set(keys)).difference(known):
+            for key, e in zip(keys, entries):  # in order, so the first bad one raises
+                if key in new and key not in known:
+                    known[key] = ring.parse_literal(e)
     except (ValueError, TypeError, KeyError, IndexError) as ex:
         raise DocumentError(f"bad ring-element literal: {ex}") from ex
-    if not build:
-        return _Shape(ring, rows, cols)
-    return Mat._of(ring, rows, cols, map(known.__getitem__, keys))
+    return (Mat._of(ring, rows, cols, map(known.__getitem__, keys)) if build
+            else _Shape(ring, rows, cols))
 
 
 def parse_module(lit, ring: Ring, memo: dict | None = None) -> ProjModule:
@@ -233,9 +236,8 @@ def _closure(raw: dict, names) -> set:
 
 def parse_workspace(text: str, names) -> Workspace:
     """The objects that names reach (see _closure).  Every object is checked
-    alike whatever names holds: one outside the closure goes through the same
-    readers and constructors with _Shape matrices (a non-free idempotent is
-    built and squared), and is then dropped."""
+    alike whatever names holds: one outside goes through the same readers and
+    constructors with _Shape matrices (non-free idempotents built), then dropped."""
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as ex:  # also too many digits or too deep
