@@ -122,14 +122,13 @@ def parse_matrix(lit, ring: Ring, memo: dict | None = None, build: bool = True):
     if len(entries) != rows * cols:
         raise DocumentError(f"matrix needs {rows * cols} entries, got {len(entries)}")
     ring, strings, reprs, _ = _known(memo, ring)
-    try:
-        distinct = set(entries)  # raises on a list literal
+    try:  # a list literal is unhashable, and keyed by its repr
+        strs = set(map(type, distinct := set(entries))) <= {str}
     except TypeError:
-        distinct = {None}
-    known, keys = ((strings, entries) if all(type(e) is str for e in distinct)
-                   else (reprs, list(map(repr, entries))))
+        strs = False
+    known, keys = (strings, entries) if strs else (reprs, list(map(repr, entries)))
     try:
-        if new := (distinct if keys is entries else set(keys)).difference(known):
+        if new := (distinct if strs else set(keys)).difference(known):
             for key, e in zip(keys, entries):  # in order, so the first bad one raises
                 if key in new and key not in known:
                     known[key] = ring.parse_literal(e)
