@@ -195,8 +195,6 @@ def _swindle(args, ws, p):
 
 
 def _torus(args, ws, f):
-    if f.source != f.target:
-        raise DocumentError("mapping torus needs an endomorphism")
     return {"complex": complex_literal(algebraic_mapping_torus(f), ws.ring)}, True
 
 

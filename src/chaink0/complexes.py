@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from . import intlinalg
 from .matrices import Mat, ShapeError
 from .rings import Ring, RingMismatch, UnsupportedRing
-from .verdicts import Report, VerificationFailed
+from .verdicts import Report
 
 
 class ProjModule:
@@ -324,6 +324,13 @@ class HomologyResult:
         return "HomologyResult(" + ", ".join(parts) + ")"
 
 
+def _lattice_checked(x: ProjComplex) -> int:
+    validate_complex(x).require("invalid complex")
+    if x.ring.flat_rank is None:
+        raise UnsupportedRing(f"homology over {x.ring.kind} is unsupported")
+    return x.ring.flat_rank
+
+
 def homology(x: ProjComplex) -> HomologyResult:
     """Homology of the underlying integer lattice, inside idempotent images.
 
@@ -338,12 +345,7 @@ def homology(x: ProjComplex) -> HomologyResult:
     Raises VerificationFailed, with validate_complex's report, on an
     invalid complex, and then UnsupportedRing over a Laurent ring.
     """
-    rep = validate_complex(x)
-    if not rep.ok:
-        raise VerificationFailed("invalid complex", rep)
-    k = x.ring.flat_rank
-    if k is None:
-        raise UnsupportedRing(f"homology over {x.ring.kind} is unsupported")
+    k = _lattice_checked(x)
     ranks, torsion = {}, {}
     for n, d in zip(x.degrees()[1:], x.boundaries):
         diag = intlinalg.smith_normal_form(d.flatten(), d.cols * k).diagonal()
@@ -359,10 +361,9 @@ def homology(x: ProjComplex) -> HomologyResult:
 
 
 def mapping_cone(f: ChainMap) -> ProjComplex:
-    """Cone_n = target_n + source_{n-1} with boundary [[d', f], [0, -d]]."""
-    rep = verify_chain_map(f)
-    if not rep.ok:
-        raise ValueError(f"invalid chain map: {rep.as_dict()['violations']}")
+    """Cone_n = target_n + source_{n-1} with boundary [[d', f], [0, -d]];
+    VerificationFailed, with verify_chain_map's report, refuses a bad f."""
+    verify_chain_map(f).require("invalid chain map")
     return _cone(f)
 
 

@@ -8,11 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
-                        mapping_cone, tensor_with_laurent, verify_chain_map,
+from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule, _cone,
+                        tensor_with_laurent, validate_complex, verify_chain_map,
                         verify_homotopy)
 from .instant import Domination
-from .matrices import Mat
+from .matrices import Mat, ShapeError
 from .rings import GroupRing, IntegerRing, LaurentRing, UnsupportedRing
 from .verdicts import Report
 
@@ -46,8 +46,7 @@ class WindowedLaurentCheck:
                 "details": list(self.details)}
 
 
-def _base_ring_checked(p: ProjModule):
-    ring = p.ring
+def _base_ring_checked(ring):
     if not isinstance(ring, (IntegerRing, GroupRing)):
         raise UnsupportedRing(
             f"Laurent extension over {ring.kind} is unsupported")
@@ -97,7 +96,7 @@ def laurent_window_check(p: ProjModule, window: int) -> WindowedLaurentCheck:
     """
     if window < 1:
         raise ValueError("window must be at least 1")
-    _base_ring_checked(p)
+    _base_ring_checked(p.ring)
     n = window
     e = p.idem.flatten()
     one, zero = intlinalg.eye(len(e)), intlinalg.zeros(len(e), len(e))
@@ -139,8 +138,7 @@ def laurent_resolution(p: ProjModule, window: int = 8
     witnesses that the cokernel is im(e), so the K0 class of im(e) dies
     after crossing with the Laurent circle.
     """
-    ring = _base_ring_checked(p)
-    ext = LaurentRing(ring)
+    ext = LaurentRing(_base_ring_checked(p.ring))
     m = p.ambient_rank
     e_ext = p.idem.map_entries(ext.include, ext)
     one = Mat.identity(ext, m)
@@ -168,13 +166,18 @@ def swindle_prefix(p: ProjModule, n: int) -> ProjComplex:
 
 
 def algebraic_mapping_torus(f: ChainMap) -> ProjComplex:
-    """The mapping cone of 1 - t f on the Laurent base change of f's complex."""
+    """The mapping cone of 1 - t f on the Laurent base change of f's complex.
+
+    Refuses, in order, a non-endomorphism (ShapeError), an unsupported ring,
+    an invalid complex or a non-chain f (VerificationFailed); 1 - t f is
+    then certified a chain map.
+    """
     if f.source != f.target:
-        raise ValueError("mapping torus needs an endomorphism")
+        raise ShapeError("mapping torus needs an endomorphism")
     x = f.source
-    if not isinstance(x.ring, (IntegerRing, GroupRing)):
-        raise UnsupportedRing(
-            f"Laurent extension over {x.ring.kind} is unsupported")
+    _base_ring_checked(x.ring)
+    validate_complex(x).require("invalid complex")
+    verify_chain_map(f).require("invalid chain map")
     xl = tensor_with_laurent(x)
     ext = xl.ring
     t_scalar = ext.t()
@@ -182,7 +185,9 @@ def algebraic_mapping_torus(f: ChainMap) -> ProjComplex:
     for nn in x.degrees():
         fn = f.component(nn).map_entries(ext.include, ext)
         comps[nn] = xl.idem(nn) - fn.scale(t_scalar)
-    return mapping_cone(ChainMap(xl, xl, comps))
+    one_minus_tf = ChainMap(xl, xl, comps)
+    verify_chain_map(one_minus_tf).certify("invalid chain map")
+    return _cone(one_minus_tf)
 
 
 def torus_invariance_check(u: ChainMap, v: ChainMap,
@@ -193,7 +198,8 @@ def torus_invariance_check(u: ChainMap, v: ChainMap,
 
     Builds both tori, then verifies that forward / backward are chain maps
     between them and that the supplied homotopies certify the two round
-    trips as homotopic to the identities.  Nothing is searched for.
+    trips as homotopic to the identities.  Nothing is searched for.  A
+    composite the torus refuses raises; every other failure is reported.
     """
     rep = Report()
     if u.source != v.target or u.target != v.source:

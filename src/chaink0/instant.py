@@ -22,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (ChainMap, Homotopy, ProjComplex, ProjModule, _cone,
-                        direct_sum, validate_complex, verify_chain_map,
-                        verify_homotopy)
+                        _lattice_checked, direct_sum, validate_complex,
+                        verify_chain_map, verify_homotopy)
 from .matrices import Mat, solve_linear
 from .projective import (ObstructionReport, StableFreenessWitness, k0_class_of_complex,
                          split_k0, verify_stable_freeness)
-from .rings import UnsupportedRing
-from .verdicts import Report, VerificationFailed
+from .verdicts import Report
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,7 @@ def build_instant(d: Domination) -> InstantData:
     complex, j and u are chain maps, u j = r i and h is a homotopy from
     1_K to j u.  A failure raises ArithmeticError with the violations.
     """
-    rep = verify_domination(d)
-    if not rep.ok:
-        raise VerificationFailed("invalid domination", rep)
+    verify_domination(d).require("invalid domination")
     ring = d.A.ring
     n = d.top
     rank = d.C.rank_at
@@ -163,8 +160,7 @@ def build_instant(d: Domination) -> InstantData:
         rep.add("instant.uj_not_ri")
     rep.merge(verify_homotopy(inst.h, ChainMap.identity(K), inst.j.compose(inst.u)),
               prefix="h.")
-    if not rep.ok:
-        raise ArithmeticError(f"instant package fails: {rep.as_dict()['violations']}")
+    rep.certify("instant package fails")
     return inst
 
 
@@ -236,10 +232,7 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
     even, odd = coords(0), list(sp) + [x for x in coords(1) if x not in sp]
     w = StableFreenessWitness(len(odd) - len(sp), len(even),
                               theta.submatrix(even, odd), theta.submatrix(odd, even))
-    chk = verify_stable_freeness(special, w)
-    if not chk.ok:
-        raise ArithmeticError(
-            f"constructed witness fails: {chk.as_dict()['violations']}")
+    verify_stable_freeness(special, w).certify("constructed witness fails")
     return w
 
 
@@ -298,13 +291,9 @@ def trim_below(x: ProjComplex, k: int) -> TrimResult:
     a Laurent ring UnsupportedRing, and nonvanishing homology at a degree
     <= k TrimPreconditionError from _peel.  Each splitting is checked on
     x's own data, d_(j+1) sigma_j + sigma_(j-1) d_j = e_j, and the result
-    is validated once.
+    is certified once; a failure of either is an ArithmeticError.
     """
-    rep = validate_complex(x)
-    if not rep.ok:
-        raise VerificationFailed("invalid complex", rep)
-    if x.ring.flat_rank is None:
-        raise UnsupportedRing(f"homology over {x.ring.kind} is unsupported")
+    _lattice_checked(x)
     splittings, rest = _peel(x, k)
     for j, sigma in splittings.items():
         lhs = x.boundary(j + 1) @ sigma
@@ -312,9 +301,7 @@ def trim_below(x: ProjComplex, k: int) -> TrimResult:
             lhs = lhs + splittings[j - 1] @ x.boundary(j)
         if lhs != x.idem(j):
             raise ArithmeticError(f"trim splitting fails at degree {j}")
-    rep = validate_complex(rest)
-    if not rep.ok:
-        raise ArithmeticError(f"trim result invalid: {rep.as_dict()['violations']}")
+    validate_complex(rest).certify("trim result invalid")
     return TrimResult(rest, splittings)
 
 
@@ -327,8 +314,11 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     P + R^a; then changes basis there by the witness, P + R^a = R^b.  The
     forward map is the inclusion of x followed by iso at degree k, the
     backward map iso_inverse followed by the projection onto x.  Returns
-    the all-free complex together with the two equivalence maps.
+    the all-free complex together with the two equivalence maps.  An
+    invalid x, or a w that fails verify_stable_freeness, raises
+    VerificationFailed; the result and both maps are certified.
     """
+    validate_complex(x).require("invalid complex")
     ring = x.ring
     nonfree = [n for n in x.degrees() if not x.module(n).is_free]
     if not nonfree:
@@ -337,9 +327,7 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     if len(nonfree) > 1:
         raise ValueError(f"more than one non-free module: degrees {nonfree}")
     k = nonfree[0]
-    chk = verify_stable_freeness(x.module(k), w)
-    if not chk.ok:
-        raise ValueError(f"witness fails: {chk.as_dict()['violations']}")
+    verify_stable_freeness(x.module(k), w).require("witness fails")
     elem = ProjComplex.free_complex(ring, k, [w.a, w.a], [Mat.identity(ring, w.a)])
     total = direct_sum(x, elem)
     j = k - total.bottom_degree
@@ -349,9 +337,7 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
         bnds[j - 1] = bnds[j - 1] @ w.iso_inverse
     bnds[j] = w.iso @ bnds[j]
     out = ProjComplex(ring, total.bottom_degree, mods, bnds)
-    rep = validate_complex(out)
-    if not rep.ok:
-        raise ArithmeticError(f"replacement invalid: {rep.as_dict()['violations']}")
+    validate_complex(out).certify("replacement invalid")
     fwd = {n: Mat.diag(ring, x.idem(n), Mat.zero(ring, elem.rank_at(n), 0))
            for n in out.degrees()}
     bwd = {n: Mat.diag(ring, x.idem(n), Mat.zero(ring, 0, elem.rank_at(n)))
@@ -360,8 +346,5 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     f = ChainMap(x, out, fwd)
     g = ChainMap(out, x, bwd)
     for mp in (f, g):
-        r2 = verify_chain_map(mp)
-        if not r2.ok:
-            raise ArithmeticError(
-                f"replacement equivalence fails: {r2.as_dict()['violations']}")
+        verify_chain_map(mp).certify("replacement equivalence fails")
     return out, f, g

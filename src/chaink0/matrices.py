@@ -218,14 +218,12 @@ def solve_linear(m: Mat, rhs: Mat) -> Mat | None:
     normal form of the integer flattening of m, and X is built from the
     solutions in one step.  Laurent rings are unsupported.
     """
-    ring, k = m.ring, m.ring.flat_rank
-    if k is None:
-        raise UnsupportedRing(f"solving over {ring.kind} is unsupported")
+    ring = m.ring
     if rhs.ring != ring:
         raise RingMismatch("right-hand side over the wrong ring")
     if rhs.rows != m.rows:
         raise ShapeError("right-hand side has wrong height")
-    snf = intlinalg.smith_normal_form(m.flatten(), m.cols * k)
+    snf = intlinalg.smith_normal_form(m.flatten(), m.cols * ring.flat_rank)
     cols = []
     for j in range(rhs.cols):
         x = snf.solve([c for e in rhs.entries[j::rhs.cols] for c in ring.coords(e)])
@@ -237,7 +235,4 @@ def solve_linear(m: Mat, rhs: Mat) -> Mat | None:
 
 def ring_kernel_coords(m: Mat) -> list[list[int]]:
     """Z-basis (in flattened coords) of the ring-column-vector kernel of m."""
-    k = m.ring.flat_rank
-    if k is None:
-        raise UnsupportedRing("no finite flattening over this ring")
-    return intlinalg.smith_normal_form(m.flatten(), m.cols * k).kernel_basis()
+    return intlinalg.smith_normal_form(m.flatten(), m.cols * m.ring.flat_rank).kernel_basis()

@@ -43,6 +43,16 @@ class Report:
     def as_dict(self) -> dict:
         return {"ok": self.ok, "violations": [v.as_dict() for v in self.violations]}
 
+    def require(self, what: str) -> None:
+        """Refuse input that fails this report: raise VerificationFailed."""
+        if not self.ok:
+            raise VerificationFailed(what, self)
+
+    def certify(self, what: str) -> None:
+        """Fail a certificate the engine built, a defect: raise ArithmeticError."""
+        if not self.ok:
+            raise ArithmeticError(f"{what}: {self.as_dict()['violations']}")
+
     def __bool__(self) -> bool:
         return self.ok
 

@@ -12,8 +12,10 @@ import chaink0
 from chaink0 import cli, complexes, constructions, instant, projective, rings
 from chaink0.cli import main
 from chaink0.corpus import corpus_dominations, generate_corpus
-from chaink0.documents import canonical_json
+from chaink0.documents import Workspace, canonical_json
 from chaink0.matrices import Mat
+
+from test_golden import REFUSED
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -394,6 +396,51 @@ def test_torus_of_endomorphism(capsys):
                        "--name", "flip")
     assert code == 0
     assert json.loads(out)["complex"]["extension"] == "laurent"
+
+
+def test_torus_of_a_non_endomorphism_exit_1(capsys):
+    code, out, err = run(capsys, "torus", "--input", str(FIXTURES / "bad.json"),
+                         "--name", "brokenMap")
+    assert (code, out, err) == (1, "", "error: mapping torus needs an endomorphism\n")
+
+
+def every_command_run(refused: pathlib.Path):
+    """argv for every command, with only its required flags, on every named
+    object of every fixture and of test_golden.REFUSED; then corpus."""
+    for path in sorted(FIXTURES.glob("*.json")) + [refused]:
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError:
+            doc = {}
+        names = sorted({name for key in Workspace.TABLES
+                        if isinstance(doc.get(key), dict) for name in doc[key]})
+        required = {"trim": [["--below", "0"]],
+                    "free-replace": [["--witness", w] for w in doc.get("witnesses") or ["w"]]}
+        for command, spec in cli.COMMANDS.items():
+            if spec.accepts is None:
+                continue
+            for name in names or ["anything"]:
+                for flags in required.get(command, [[]]):
+                    yield [command, "--input", str(path), "--name", name, *flags]
+    yield ["corpus"]
+
+
+def test_every_command_on_every_named_object_keeps_the_contract(tmp_path, capsys):
+    """Exit 0, 1 or 2 and never a traceback; exit 1 prints one error: line
+    and nothing on stdout, exits 0 and 2 print nothing on stderr."""
+    refused = tmp_path / "refused.json"
+    refused.write_text(canonical_json(REFUSED), encoding="utf-8")
+    for argv in every_command_run(refused):
+        try:
+            code = main(argv)
+        except Exception as ex:
+            pytest.fail(f"{argv} raised {ex!r}")
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert out and err == "", argv
 
 
 def test_text_format(capsys):

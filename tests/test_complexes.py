@@ -14,6 +14,7 @@ from chaink0.constructions import swindle_prefix
 from chaink0.corpus import random_free_complex
 from chaink0.matrices import Mat, ShapeError
 from chaink0.rings import C2, ZZ, QuadraticRing, RingMismatch, UnsupportedRing
+from chaink0.verdicts import VerificationFailed
 from test_instant import unimodular
 
 Q5 = QuadraticRing(-5)
@@ -260,6 +261,15 @@ def test_cone_of_multiplication():
     pt = ProjComplex.free_complex(ZZ, 0, [1], [])
     f = ChainMap(pt, pt, {0: Mat.from_rows(ZZ, [[2]])})
     assert homology(mapping_cone(f)).at(0) == (0, (2,))
+
+
+def test_mapping_cone_refuses_a_non_chain_map():
+    """The refusal is a VerificationFailed, a ValueError, with the report."""
+    seg = ProjComplex.free_complex(ZZ, 0, [1, 1], [Mat.from_rows(ZZ, [[1]])])
+    f = ChainMap(seg, seg, {1: Mat.from_rows(ZZ, [[1]])})
+    with pytest.raises(VerificationFailed, match=r"^invalid chain map: \[") as ex:
+        mapping_cone(f)
+    assert [v.code for v in ex.value.report.violations] == ["map.square_fails"]
 
 
 def test_shift_round_trip():

@@ -11,10 +11,13 @@ from chaink0.constructions import (algebraic_mapping_torus,
                                    laurent_resolution, laurent_window_check,
                                    realize, swindle_prefix,
                                    torus_invariance_check)
+from chaink0.documents import canonical_json, parse_workspace
 from chaink0.instant import finiteness_obstruction, verify_domination
-from chaink0.matrices import Mat
+from chaink0.matrices import Mat, ShapeError
 from chaink0.projective import quadratic_class_oracle, rank
 from chaink0.rings import C2, ZZ, QuadraticRing, UnsupportedRing
+from chaink0.verdicts import VerificationFailed
+from test_golden import REFUSED
 
 Q5 = QuadraticRing(-5)
 
@@ -161,6 +164,23 @@ def test_torus_of_point_boundaries():
     assert ident.boundary(1)[0, 0] == one - ext.t()
     zero_map = algebraic_mapping_torus(ChainMap.zero(pt, pt))
     assert zero_map.boundary(1)[0, 0] == one
+
+
+@pytest.mark.parametrize("name, code", [("f", "map.square_fails"),
+                                        ("g", "complex.dd_nonzero")])
+def test_torus_refuses_an_invalid_endomorphism(name, code):
+    """f is not a chain map; g is one, on a complex with d d != 0."""
+    f = parse_workspace(canonical_json(REFUSED), [name]).maps[name]
+    with pytest.raises(VerificationFailed) as ex:
+        algebraic_mapping_torus(f)
+    assert [v.code for v in ex.value.report.violations] == [code]
+
+
+def test_torus_refuses_a_non_endomorphism():
+    x = ProjComplex.free_complex(ZZ, 0, [1], [])
+    y = ProjComplex.free_complex(ZZ, 0, [2], [])
+    with pytest.raises(ShapeError, match="^mapping torus needs an endomorphism$"):
+        algebraic_mapping_torus(ChainMap.zero(x, y))
 
 
 def test_torus_invariance_identity_factorization():

@@ -62,14 +62,25 @@ PATHS = {name: _paths(doc) for name, doc in DOCS.items()}
 
 
 def _replace(doc, path, value) -> None:
-    """Set doc at path to value, unless an earlier mutation removed the path."""
+    """Set doc at path to value, unless an earlier mutation removed the path,
+    say by turning a dict on it into a list."""
     for k in path[:-1]:
         try:
             doc = doc[k]
         except (KeyError, IndexError, TypeError):
             return
-    if isinstance(doc, dict) or (isinstance(doc, list) and path[-1] < len(doc)):
-        doc[path[-1]] = value
+    last = path[-1]
+    if isinstance(doc, dict) or (isinstance(doc, list) and isinstance(last, int)
+                                 and last < len(doc)):
+        doc[last] = value
+
+
+def test_replace_skips_a_path_whose_dict_became_a_list():
+    doc = {"maps": {"f": {"source": "X"}}}
+    _replace(doc, ("maps", "f"), [1, 2])
+    _replace(doc, ("maps", "f", "source"), "Y")
+    _replace(doc, ("maps", "f", "source", "name"), "Y")
+    assert doc == {"maps": {"f": [1, 2]}}
 
 
 def _get(doc, path):

@@ -132,6 +132,41 @@ INVALID = {
 }
 
 
+def _free(rank: int) -> dict:
+    return {"ambient_rank": rank, "idempotent": "free"}
+
+
+def _z_matrix(rows: int, cols: int, *entries: int) -> dict:
+    return {"rows": rows, "cols": cols, "entries": [str(a) for a in entries]}
+
+
+# Inputs that torus and free-replace must refuse with a report (exit 2):
+# f on Z --1--> Z with f_0 = 1, f_1 = 2 is not a chain map; g = 1 on
+# Z --1--> Z --1--> Z commutes but d d != 0; in R and S, d d != 0 as well,
+# with im(diag(1, 0)) in degree 1 of R (w witnesses it) and Z^2 in S.
+REFUSED = {
+    "ring": {"kind": "integers"},
+    "complexes": {
+        "E": {"bottom_degree": 0, "modules": [_free(1), _free(1)],
+              "boundaries": [_z_matrix(1, 1, 1)]},
+        "Q": {"bottom_degree": 0, "modules": [_free(1), _free(1), _free(1)],
+              "boundaries": [_z_matrix(1, 1, 1), _z_matrix(1, 1, 1)]},
+        "R": {"bottom_degree": 0,
+              "modules": [_free(1), {"ambient_rank": 2,
+                                     "idempotent": _z_matrix(2, 2, 1, 0, 0, 0)}, _free(1)],
+              "boundaries": [_z_matrix(1, 2, 1, 0), _z_matrix(2, 1, 1, 0)]},
+        "S": {"bottom_degree": 0, "modules": [_free(1), _free(2), _free(1)],
+              "boundaries": [_z_matrix(1, 2, 1, 0), _z_matrix(2, 1, 1, 0)]},
+    },
+    "maps": {"f": {"source": "E", "target": "E",
+                   "components": {"0": _z_matrix(1, 1, 1), "1": _z_matrix(1, 1, 2)}},
+             "g": {"source": "Q", "target": "Q",
+                   "components": {str(n): _z_matrix(1, 1, 1) for n in range(3)}}},
+    "witnesses": {"w": {"a": 0, "b": 1, "iso": _z_matrix(1, 2, 1, 0),
+                        "iso_inverse": _z_matrix(2, 1, 1, 0)}},
+}
+
+
 @functools.cache
 def load_workloads():
     """bench/workloads.py, loaded by path since bench/ is not a package."""
@@ -259,6 +294,7 @@ def write_documents(docs: pathlib.Path) -> None:
         text = canonical_json(s3_literal(perturbed))
         (docs / f"{name}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
+    (docs / "refused.json").write_text(canonical_json(REFUSED), encoding="utf-8")
     for name, (ring, extension, valid, bad) in MEMO_LITERALS.items():
         for same in (True, False):
             text = canonical_json(memo_literal(ring, extension, valid, bad, same))
@@ -341,6 +377,12 @@ def cases(docs: pathlib.Path) -> dict:
     for fault in FAULTS:
         out[f"obstruction fault-{fault} dom0"] = [
             "obstruction", "--input", str(docs / f"fault-{fault}.json"), "--name", "dom0"]
+    doc = str(docs / "refused.json")
+    for name in ("f", "g"):
+        out[f"torus refused {name}"] = ["torus", "--input", doc, "--name", name]
+    for name in ("R", "S"):
+        out[f"free-replace refused {name} --witness w"] = [
+            "free-replace", "--input", doc, "--name", name, "--witness", "w"]
     return out
 
 

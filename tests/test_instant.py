@@ -9,6 +9,7 @@ from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                                verify_homotopy)
 from chaink0.corpus import (corpus_dominations, random_domination,
                             random_free_complex)
+from chaink0.documents import canonical_json, parse_workspace
 from chaink0.instant import (Domination, TrimPreconditionError, _peel,
                              _witness_from_acyclic, build_instant,
                              finiteness_obstruction, free_replacement,
@@ -18,8 +19,9 @@ from chaink0.matrices import Mat
 from chaink0.projective import (quadratic_class_oracle, rank,
                                 verify_stable_freeness)
 from chaink0.rings import C2, ZZ, QuadraticRing
+from chaink0.verdicts import VerificationFailed
 from perturbations import perturb
-from test_golden import load_workloads
+from test_golden import REFUSED, load_workloads
 
 Q5 = QuadraticRing(-5)
 
@@ -386,5 +388,16 @@ def test_free_replacement_rejects_bad_witness():
     x = ProjComplex(ZZ, 0, [ProjModule(inst.P)], [])
     from chaink0.projective import StableFreenessWitness
     bad = StableFreenessWitness(0, 2, Mat.identity(ZZ, 2), Mat.identity(ZZ, 2))
-    with pytest.raises(ValueError, match="witness fails"):
+    with pytest.raises(VerificationFailed, match="^witness fails: "):
         free_replacement(x, bad)
+
+
+@pytest.mark.parametrize("name", ["R", "S"])
+def test_free_replacement_refuses_an_invalid_complex(name):
+    """d d != 0 is refused before anything else: with a non-free module, the
+    replacement is not built (it would fail its own certificate), and with
+    every module free, no identity maps are returned."""
+    ws = parse_workspace(canonical_json(REFUSED), [name, "w"])
+    with pytest.raises(VerificationFailed, match="^invalid complex: ") as ex:
+        free_replacement(ws.complexes[name], ws.witnesses["w"])
+    assert [v.code for v in ex.value.report.violations] == ["complex.dd_nonzero"]
