@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from chaink0 import intlinalg
+from chaink0 import constructions, intlinalg
 
 from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                                homology, validate_complex)
-from chaink0.constructions import (algebraic_mapping_torus,
+from chaink0.constructions import (WindowedLaurentCheck,
+                                   algebraic_mapping_torus,
                                    laurent_resolution, laurent_window_check,
                                    realize, swindle_prefix,
                                    torus_invariance_check)
@@ -44,12 +45,12 @@ def test_window_check_zero_idempotent():
 
 def conjugated_idempotent(rng, ring, m):
     """g d g^-1 for a random 0/1 diagonal d and g a product of four
-    elementary matrices with coefficients in [-2, 2]."""
+    elementary matrices with coefficients in [-2, 2] (g = 1 when m = 1)."""
     def matrix(entry):
         return Mat(ring, m, m, [entry(r, c) for r in range(m) for c in range(m)])
 
     g = g_inv = Mat.identity(ring, m)
-    for _ in range(4):
+    for _ in range(4 if m > 1 else 0):
         i, j = rng.sample(range(m), 2)
         a = ring.from_coords([rng.randint(-2, 2) for _ in range(ring.flat_rank)])
         up = matrix(lambda r, c: ring.one if r == c else
@@ -96,6 +97,120 @@ def test_window_check_runs_no_smith_normal_form(monkeypatch):
     monkeypatch.setattr(intlinalg, "smith_normal_form", forbidden)
     chk = laurent_window_check(p, 8)
     assert chk.ok and chk.cokernel_rank == snf_rank > 0
+
+
+def _dense_plus(a, b):
+    return [[u + v for u, v in zip(r, q)] for r, q in zip(a, b)]
+
+
+def _dense_compose(products, *pairs):
+    out = {}
+    for a, b in pairs:
+        rows_of_b = {}
+        for (z, j), y in b.items():
+            rows_of_b.setdefault(z, []).append((j, y))
+        for (i, z), x in a.items():
+            for j, y in rows_of_b.get(z, ()):
+                if (id(x), id(y)) not in products:
+                    products[id(x), id(y)] = intlinalg.mat_mul(x, y)
+                prod, acc = products[id(x), id(y)], out.get((i, j))
+                out[i, j] = prod if acc is None else _dense_plus(acc, prod)
+    return out
+
+
+def _dense_agrees(got, want, zero):
+    return all(got.get(key, zero) == want.get(key, zero)
+               for key in got.keys() | want.keys())
+
+
+def dense_window_check(p, n):
+    """The window check with L stored as one block per pair z <= x and every
+    block of the four identities formed and compared one at a time."""
+    e = p.idem.flatten()
+    one, zero = intlinalg.eye(len(e)), intlinalg.zeros(len(e), len(e))
+    neg_e = [[-v for v in r] for r in e]
+    c = _dense_plus(one, neg_e)
+    xs = range(-n, n + 1)
+    bnd = {(x, ("c", x)): c for x in xs}
+    lift = {(("c", x), x): c for x in xs}
+    for x in xs[:-1]:
+        bnd[x, ("e", x)], bnd[x + 1, ("e", x)] = e, neg_e
+        lift.update(((("e", x), z), e) for z in range(-n, x + 1))
+    domain_one = {(j, j): c if j[0] == "c" else e for _, j in bnd}
+    phi = {("im", z): e for z in xs}
+    tau = {(n, "im"): e}
+    idempotent = p.is_free or p.is_idempotent
+    details = [] if idempotent else ["e is not idempotent"]
+    products = {}
+    identities = (
+        (_dense_compose(products, (lift, bnd)), domain_one,
+         "L after boundary is not the identity"),
+        (_dense_compose(products, (bnd, lift), (tau, phi)),
+         {(x, x): one for x in xs}, "D L + tau phi is not the identity"),
+        (_dense_compose(products, (phi, bnd)), {}, "phi after boundary is nonzero"),
+        (_dense_compose(products, (phi, tau)), {("im", "im"): e}, "phi tau is not e"))
+    holds = [_dense_agrees(got, want, zero) for got, want, _ in identities]
+    details += [fault for (_, _, fault), ok in zip(identities, holds) if not ok]
+    return WindowedLaurentCheck(n, idempotent and holds[0],
+                                idempotent and all(holds[1:]),
+                                sum(e[i][i] for i in range(len(e))),
+                                tuple(details))
+
+
+def test_window_check_matches_the_dense_evaluation():
+    modules = [ProjModule(Mat.from_rows(ZZ, rows))
+               for rows in ([[2]], [[1, 1], [0, 1]])]
+    for ring in (ZZ, C2):
+        rng = random.Random(f"dense:{ring.kind}")
+        modules += [ProjModule(conjugated_idempotent(rng, ring, m))
+                    for m in (1, 2, 3) for _ in range(3)]
+    for p in modules:
+        for n in range(1, 9):
+            assert laurent_window_check(p, n).as_dict() == \
+                dense_window_check(p, n).as_dict(), (p.idem, n)
+
+
+def test_running_sums_compare_every_run():
+    """On positions 0..5 of one line the sum is [[0]] from 0 and [[1]] from
+    2, where [[1]] is wanted: each mark and each run between or after marks
+    yields one pair, so the unwanted [[1]] on 3..5 is compared once."""
+    pairs = constructions._running({("l", 0): [[0]], ("l", 2): [[1]]}, {},
+                                   {("l", 2): [[1]]}, range(6), [[0]])
+    assert list(pairs) == [([[0]], [[0]]), ([[0]], [[0]]), ([[1]], [[1]]),
+                           ([[1]], [[0]])]
+
+
+@pytest.mark.parametrize("module", [split_line, c2_half])
+def test_window_check_work_is_linear_in_the_window(module, monkeypatch):
+    """Block sums and block comparisons at most double, plus a constant,
+    when the window doubles: L is applied as running sums and each run of
+    one unchanged block is compared once."""
+    counts = {"sums": 0, "comparisons": 0}
+    plus = constructions._plus
+
+    def counting_plus(a, b):
+        counts["sums"] += 1
+        return plus(a, b)
+
+    def counting(pairs_of):
+        def pairs(*args):
+            for pair in pairs_of(*args):
+                counts["comparisons"] += 1
+                yield pair
+        return pairs
+
+    monkeypatch.setattr(constructions, "_plus", counting_plus)
+    for name in ("_running", "_pairs"):
+        monkeypatch.setattr(constructions, name,
+                            counting(getattr(constructions, name)))
+    work = []
+    for n in (32, 64, 128):
+        counts.update(sums=0, comparisons=0)
+        assert laurent_window_check(module(), n).ok
+        work.append(dict(counts))
+    assert all(work[0].values())
+    for small, big in zip(work, work[1:]):
+        assert all(big[k] <= 2 * small[k] + 8 for k in counts), work
 
 
 @pytest.mark.parametrize("window", [3, 8, 24])
