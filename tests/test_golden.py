@@ -44,6 +44,9 @@ NONTRIVIAL_COUNT = 6
 PERTURBED_COUNT = 6
 # laurent-resolve windows on the identity and the two conjugates of diag(1, 0).
 LAURENT_WINDOWS = (1, 2, 8, 24)
+# swindle prefixes of the same three modules: one boundary, two, an odd
+# length, and long prefixes whose boundaries repeat 1 - e and e.
+SWINDLE_WINDOWS = (1, 2, 7, 32, 64)
 # Cones of the identity of seeded free complexes, trimmed per ring.
 CONE_COUNT = 6
 # free-replace on the reductions of the corpus dominations dom0..dom7.
@@ -350,6 +353,9 @@ def cases(docs: pathlib.Path) -> dict:
                 out[f"laurent-resolve laurent-{ring} {name} --window {w}"] = [
                     "laurent-resolve", "--input", doc, "--name", name,
                     "--window", str(w)]
+            for w in SWINDLE_WINDOWS:
+                out[f"swindle laurent-{ring} {name} --window {w}"] = [
+                    "swindle", "--input", doc, "--name", name, "--window", str(w)]
         doc = str(docs / f"cones-{ring}.json")
         for k, x in enumerate(identity_cones(ring)):
             for below in sorted({x.bottom_degree, x.top_degree - 1}):
