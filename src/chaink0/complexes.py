@@ -104,8 +104,10 @@ class ProjComplex:
 
     @classmethod
     def free_complex(cls, ring: Ring, bottom_degree: int, ranks, boundaries) -> "ProjComplex":
-        mods = [ProjModule.free(ring, r) for r in ranks]
-        return cls(ring, bottom_degree, mods, boundaries)
+        """Free modules of these ranks, one module object per distinct rank."""
+        ranks = tuple(ranks)
+        free = {r: ProjModule.free(ring, r) for r in set(ranks)}
+        return cls(ring, bottom_degree, [free[r] for r in ranks], boundaries)
 
     @classmethod
     def zero(cls, ring: Ring) -> "ProjComplex":
@@ -159,15 +161,22 @@ def _inside(out: ProjModule, x: Mat, into: ProjModule) -> bool:
 
 
 def validate_complex(x: ProjComplex) -> Report:
-    """Check d@d = 0 and that boundaries respect the projective summands."""
+    """Check d@d = 0 and that boundaries respect the projective summands.
+
+    d_n @ d_(n+1) is formed once per distinct pair of boundary objects; a
+    pair that recurs is still reported at every degree where it fails."""
     rep = Report()
     for n in x.degrees():
         if not x.module(n).validate().ok:
             rep.add("complex.module_not_idempotent", degree=n)
+    dd_zero = {}
     for n in x.degrees():
         d = x.boundary(n)
         if n - 1 in x.degrees() and n + 1 in x.degrees():
-            if not (x.boundary(n) @ x.boundary(n + 1)).is_zero:
+            up = x.boundary(n + 1)
+            if (id(d), id(up)) not in dd_zero:
+                dd_zero[id(d), id(up)] = (d @ up).is_zero
+            if not dd_zero[id(d), id(up)]:
                 rep.add("complex.dd_nonzero", degree=n + 1)
         if n - 1 in x.degrees():
             if not _inside(x.module(n - 1), d, x.module(n)):
@@ -339,24 +348,29 @@ def homology(x: ProjComplex) -> HomologyResult:
     boundary: d_n = d_n e_n puts im(1 - e_n) inside ker d_n, and im d_{n+1}
     lies in im e_n.  So H_n has betti = trace(e_n) - rank d_n - rank d_{n+1}
     and torsion = the invariant factors > 1 of d_{n+1}.  That is one Smith
-    normal form per boundary, read for its diagonal only; trace(e_n) is read
-    from the regular representations of e_n's diagonal entries.
+    normal form per distinct boundary object, read for its diagonal only, so
+    a swindle prefix, whose boundaries alternate two objects, runs two;
+    trace(e_n) is read once per distinct idempotent object, from the regular
+    representations of its diagonal entries.
 
     Raises VerificationFailed, with validate_complex's report, on an
     invalid complex, and then UnsupportedRing over a Laurent ring.
     """
     k = _lattice_checked(x)
-    ranks, torsion = {}, {}
+    ranks, torsion, reduced = {}, {}, {}
     for n, d in zip(x.degrees()[1:], x.boundaries):
-        diag = intlinalg.smith_normal_form(d.flatten(), d.cols * k).diagonal()
-        ranks[n] = sum(1 for a in diag if a)
-        torsion[n] = tuple(a for a in diag if a > 1)
-    out = {}
+        if id(d) not in reduced:
+            diag = intlinalg.smith_normal_form(d.flatten(), d.cols * k).diagonal()
+            reduced[id(d)] = sum(1 for a in diag if a), tuple(a for a in diag if a > 1)
+        ranks[n], torsion[n] = reduced[id(d)]
+    out, traces = {}, {}
     for n in x.degrees():
         e = x.idem(n)
-        blocks = [x.ring.regular_representation(e[i, i]) for i in range(e.rows)]
-        trace = sum(b[a][a] for b in blocks for a in range(k))
-        out[n] = (trace - ranks.get(n, 0) - ranks.get(n + 1, 0), torsion.get(n + 1, ()))
+        if id(e) not in traces:
+            blocks = [x.ring.regular_representation(e[i, i]) for i in range(e.rows)]
+            traces[id(e)] = sum(b[a][a] for b in blocks for a in range(k))
+        out[n] = (traces[id(e)] - ranks.get(n, 0) - ranks.get(n + 1, 0),
+                  torsion.get(n + 1, ()))
     return HomologyResult.from_dict(out)
 
 

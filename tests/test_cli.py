@@ -406,7 +406,9 @@ def test_torus_of_a_non_endomorphism_exit_1(capsys):
 
 def every_command_run(refused: pathlib.Path):
     """argv for every command, with only its required flags, on every named
-    object of every fixture and of test_golden.REFUSED; then corpus."""
+    object of every fixture and of test_golden.REFUSED; swindle and
+    laurent-resolve also at --window 1 and 256, the ends of its range; then
+    corpus."""
     for path in sorted(FIXTURES.glob("*.json")) + [refused]:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -414,8 +416,10 @@ def every_command_run(refused: pathlib.Path):
             doc = {}
         names = sorted({name for key in Workspace.TABLES
                         if isinstance(doc.get(key), dict) for name in doc[key]})
+        windows = [[], ["--window", "1"], ["--window", str(cli.MAX_WINDOW)]]
         required = {"trim": [["--below", "0"]],
-                    "free-replace": [["--witness", w] for w in doc.get("witnesses") or ["w"]]}
+                    "free-replace": [["--witness", w] for w in doc.get("witnesses") or ["w"]],
+                    "swindle": windows, "laurent-resolve": windows}
         for command, spec in cli.COMMANDS.items():
             if spec.accepts is None:
                 continue

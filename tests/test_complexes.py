@@ -15,6 +15,8 @@ from chaink0.corpus import random_free_complex
 from chaink0.matrices import Mat, ShapeError
 from chaink0.rings import C2, ZZ, QuadraticRing, RingMismatch, UnsupportedRing
 from chaink0.verdicts import VerificationFailed
+from groups import S3
+from test_constructions import conjugated_idempotent
 from test_instant import unimodular
 
 Q5 = QuadraticRing(-5)
@@ -170,19 +172,94 @@ def _count_snf(monkeypatch):
 
 
 def test_homology_runs_one_smith_normal_form_per_boundary(monkeypatch):
+    """One Smith normal form and one flatten per distinct boundary object:
+    a swindle prefix alternates two objects at any window, and two equal
+    boundaries that are distinct objects are still reduced twice."""
     rng = random.Random(12)
     dense = Mat.from_rows(ZZ, [[rng.randint(-9, 9) for _ in range(12)]
                                for _ in range(12)])
     rank = intlinalg.smith_normal_form(dense.flatten()).rank
-    swindle = swindle_prefix(ProjModule(_split_line(C2)), 5)
     calls = _count_snf(monkeypatch)
+    flattened = []
+    real_flatten = Mat.flatten
+    monkeypatch.setattr(Mat, "flatten",
+                        lambda m: flattened.append(m) or real_flatten(m))
     h = homology(ProjComplex.free_complex(ZZ, 0, [12, 12], [dense]))
-    assert len(calls) == 1
+    assert len(calls) == len(flattened) == 1
     assert h.betti(0) == h.betti(1) == 12 - rank
-    del calls[:]
-    h = homology(swindle)
-    assert len(calls) == len(swindle.boundaries) == 5
-    assert h.at(0) == (2, ()) and h.at(1) == (0, ())
+    for window in (5, 64):
+        swindle = swindle_prefix(ProjModule(_split_line(C2)), window)
+        del calls[:], flattened[:]
+        h = homology(swindle)
+        assert len(swindle.boundaries) == window
+        assert len(calls) == len(flattened) == 2
+        assert h.at(0) == (2, ()) and h.at(1) == (0, ())
+    square_zero = Mat.from_rows(ZZ, [[0, 1], [0, 0]])
+    twin = _fresh(square_zero)
+    assert twin == square_zero and twin is not square_zero
+    del calls[:], flattened[:]
+    h = homology(ProjComplex.free_complex(ZZ, 0, [2, 2, 2], [square_zero, twin]))
+    assert len(calls) == len(flattened) == 2
+    assert h.at(0) == h.at(2) == (1, ()) and h.at(1) == (0, ())
+
+
+def _fresh(m):
+    return Mat._of(m.ring, m.rows, m.cols, m.entries)
+
+
+def _fresh_copy(x):
+    """x with every boundary and module a new object, so that no memo keyed
+    by object hits: each degree is reduced and checked on its own."""
+    copy = ProjComplex(x.ring, x.bottom_degree,
+                       [ProjModule(_fresh(p.idem)) for p in x.modules],
+                       [_fresh(d) for d in x.boundaries])
+    assert len({id(d) for d in copy.boundaries}) == len(copy.boundaries)
+    assert len({id(p.idem) for p in copy.modules}) == len(copy.modules)
+    return copy
+
+
+@pytest.mark.parametrize("ring", [ZZ, C2, S3], ids=["integers", "c2", "s3"])
+def test_swindle_homology_and_validation_match_a_fresh_copy(ring):
+    """The memos by object change no result: a swindle prefix, whose boundaries
+    and modules repeat, reports what its copy without repeats reports."""
+    rng = random.Random(f"fresh-swindle:{ring.kind}")
+    modules = [ProjModule(conjugated_idempotent(rng, ring, m)) for m in (1, 2, 3)]
+    for p in modules:
+        for n in (*range(1, 9), 64):
+            x = swindle_prefix(p, n)
+            copy = _fresh_copy(x)
+            assert homology(x) == homology(copy)
+            assert validate_complex(x).as_dict() == validate_complex(copy).as_dict()
+
+
+def _one_shared(*boundaries):
+    ranks = [1] * (len(boundaries) + 1)
+    return ProjComplex.free_complex(ZZ, 0, ranks, boundaries)
+
+
+@pytest.mark.parametrize("x, failing", [
+    # one [[1]] object as all three boundaries: d d != 0 at degrees 2 and 3
+    (_one_shared(*[Mat.from_rows(ZZ, [[1]])] * 3), [2, 3]),
+    # the same d followed by itself, then by 0: only the first pair fails
+    (_one_shared(*[Mat.from_rows(ZZ, [[1]])] * 2, Mat.zero(ZZ, 1, 1)), [2]),
+], ids=["three", "then-zero"])
+def test_a_shared_boundary_is_reported_at_every_failing_degree(x, failing):
+    rep = validate_complex(x)
+    assert [v.degree for v in rep.violations if v.code == "complex.dd_nonzero"] == failing
+    assert rep.as_dict() == validate_complex(_fresh_copy(x)).as_dict()
+
+
+def test_homology_reads_the_trace_of_each_idempotent():
+    """Modules of one ambient rank with different idempotents: each trace is
+    its own, whichever module shares a rank with it."""
+    half = ProjModule(_split_line(ZZ))
+    free = ProjModule.free(ZZ, 2)
+    zero = Mat.zero(ZZ, 2, 2)
+    for mods in ([free, half, free], [half, free, half]):
+        x = ProjComplex(ZZ, 0, mods, [zero, zero])
+        assert homology(x) == homology(_fresh_copy(x))
+        assert [homology(x).betti(n) for n in range(3)] == [
+            2 if p is free else 1 for p in mods]
 
 
 def test_homology_builds_no_transform(monkeypatch):
