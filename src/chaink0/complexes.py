@@ -173,10 +173,10 @@ def validate_complex(x: ProjComplex) -> Report:
     for n in x.degrees():
         d = x.boundary(n)
         if n - 1 in x.degrees() and n + 1 in x.degrees():
-            up = x.boundary(n + 1)
-            if (id(d), id(up)) not in dd_zero:
-                dd_zero[id(d), id(up)] = (d @ up).is_zero
-            if not dd_zero[id(d), id(up)]:
+            key = id(d), id(x.boundary(n + 1))
+            if key not in dd_zero:
+                dd_zero[key] = (d @ x.boundary(n + 1)).is_zero
+            if not dd_zero[key]:
                 rep.add("complex.dd_nonzero", degree=n + 1)
         if n - 1 in x.degrees():
             if not _inside(x.module(n - 1), d, x.module(n)):

@@ -183,9 +183,10 @@ def laurent_resolution(p: ProjModule, window: int = 8
 def swindle_prefix(p: ProjModule, n: int) -> ProjComplex:
     """A length-n free prefix of the alternating swindle resolution of im(e).
 
-    Boundaries alternate 1-e, e, 1-e, ... so consecutive maps compose to
-    zero; degree-0 homology is the im(e) lattice and the interior vanishes.
-    The top degree carries a truncation artifact of the infinite resolution.
+    Boundaries alternate the two objects 1-e and e over one shared free
+    module, so consecutive maps compose to zero and homology reduces two
+    boundaries for any n.  Degree-0 homology is the im(e) lattice, the
+    interior vanishes and the top degree carries a truncation artifact.
     """
     if n < 1:
         raise ValueError("prefix length must be at least 1")

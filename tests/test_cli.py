@@ -406,9 +406,8 @@ def test_torus_of_a_non_endomorphism_exit_1(capsys):
 
 def every_command_run(refused: pathlib.Path):
     """argv for every command, with only its required flags, on every named
-    object of every fixture and of test_golden.REFUSED; swindle and
-    laurent-resolve also at --window 1 and 256, the ends of its range; then
-    corpus."""
+    object of every fixture and of test_golden.REFUSED, swindle and
+    laurent-resolve also at both ends of the --window range; then corpus."""
     for path in sorted(FIXTURES.glob("*.json")) + [refused]:
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
