@@ -170,6 +170,48 @@ REFUSED = {
 }
 
 
+def _c2_matrix(rows: int, cols: int, *entries: list) -> dict:
+    return {"rows": rows, "cols": cols, "entries": list(entries)}
+
+
+# Tori over Z[C2] on E: Z[C2] --1--> Z[C2]: f with f_0 = 1, f_1 = g (the
+# generator) is not a chain map; g, multiplication by g in both degrees, is.
+ONE, G = [[1, 0]], [[1, 1]]
+TORUS_C2 = {
+    "ring": C2_DESC,
+    "complexes": {"E": {"bottom_degree": 0, "modules": [_free(1), _free(1)],
+                        "boundaries": [_c2_matrix(1, 1, ONE)]}},
+    "maps": {"f": {"source": "E", "target": "E",
+                   "components": {"0": _c2_matrix(1, 1, ONE), "1": _c2_matrix(1, 1, G)}},
+             "g": {"source": "E", "target": "E",
+                   "components": {"0": _c2_matrix(1, 1, G), "1": _c2_matrix(1, 1, G)}}},
+}
+
+# Over Z, with H = im(diag(1, 0)): on Y = (Z <--[1 0]-- H), h has h_0 = 1 and
+# h_1 = [[1, 0], [1, 0]], which commutes but leaves H, and k = h with k_0 = 2
+# also fails its square; T has H in degrees 0 and 1 with a zero boundary, and
+# F is one free Z.  w3 (a = 2, b = 3, iso = 5, iso_inverse = 1) is no witness.
+SUMMANDS = {
+    "ring": {"kind": "integers"},
+    "complexes": {
+        "Y": {"bottom_degree": 0,
+              "modules": [_free(1), {"ambient_rank": 2,
+                                     "idempotent": _z_matrix(2, 2, 1, 0, 0, 0)}],
+              "boundaries": [_z_matrix(1, 2, 1, 0)]},
+        "T": {"bottom_degree": 0,
+              "modules": [{"ambient_rank": 2, "idempotent": _z_matrix(2, 2, 1, 0, 0, 0)}] * 2,
+              "boundaries": [_z_matrix(2, 2, 0, 0, 0, 0)]},
+        "F": {"bottom_degree": 0, "modules": [_free(1)], "boundaries": []},
+    },
+    "maps": {"h": {"source": "Y", "target": "Y",
+                   "components": {"0": _z_matrix(1, 1, 1), "1": _z_matrix(2, 2, 1, 0, 1, 0)}},
+             "k": {"source": "Y", "target": "Y",
+                   "components": {"0": _z_matrix(1, 1, 2), "1": _z_matrix(2, 2, 1, 0, 1, 0)}}},
+    "witnesses": {"w3": {"a": 2, "b": 3, "iso": _z_matrix(3, 3, 5, 0, 0, 0, 5, 0, 0, 0, 5),
+                         "iso_inverse": _z_matrix(3, 3, 1, 0, 0, 0, 1, 0, 0, 0, 1)}},
+}
+
+
 @functools.cache
 def load_workloads():
     """bench/workloads.py, loaded by path since bench/ is not a package."""
@@ -298,6 +340,8 @@ def write_documents(docs: pathlib.Path) -> None:
         (docs / f"{name}.json").write_text(text, encoding="utf-8")
     (docs / "invalid.json").write_text(canonical_json(INVALID), encoding="utf-8")
     (docs / "refused.json").write_text(canonical_json(REFUSED), encoding="utf-8")
+    (docs / "torus-c2.json").write_text(canonical_json(TORUS_C2), encoding="utf-8")
+    (docs / "summands.json").write_text(canonical_json(SUMMANDS), encoding="utf-8")
     for name, (ring, extension, valid, bad) in MEMO_LITERALS.items():
         for same in (True, False):
             text = canonical_json(memo_literal(ring, extension, valid, bad, same))
@@ -389,6 +433,15 @@ def cases(docs: pathlib.Path) -> dict:
     for name in ("R", "S"):
         out[f"free-replace refused {name} --witness w"] = [
             "free-replace", "--input", doc, "--name", name, "--witness", "w"]
+    for name in ("f", "g"):
+        out[f"torus torus-c2 {name}"] = [
+            "torus", "--input", str(docs / "torus-c2.json"), "--name", name]
+    doc = str(docs / "summands.json")
+    for name in ("h", "k"):
+        out[f"torus summands {name}"] = ["torus", "--input", doc, "--name", name]
+    for name in ("T", "F"):
+        out[f"free-replace summands {name} --witness w3"] = [
+            "free-replace", "--input", doc, "--name", name, "--witness", "w3"]
     return out
 
 
