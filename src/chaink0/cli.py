@@ -17,8 +17,9 @@ from .complexes import ChainMap, ProjComplex, ProjModule, homology, validate_com
 from .constructions import (algebraic_mapping_torus, laurent_resolution,
                             realize, swindle_prefix)
 from .corpus import generate_corpus
-from .documents import (DocumentError, Workspace, canonical_json, complex_literal,
-                        matrix_literal, module_literal, parse_workspace, witness_literal)
+from .documents import (DocumentError, Workspace, _components_literal, canonical_json,
+                        complex_literal, matrix_literal, module_literal, parse_workspace,
+                        witness_literal)
 from .instant import (Domination, TrimPreconditionError, build_instant,
                       finiteness_obstruction, free_replacement, trim_below,
                       verify_domination)
@@ -51,7 +52,7 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(out)
 
 
-def _as_text(payload, indent: str = "") -> str:
+def _as_text(payload) -> str:
     lines = []
 
     def walk(key, value, depth):
@@ -161,8 +162,7 @@ def _trim(args, ws, x):
     except TrimPreconditionError as ex:
         return _rejected("trim.homology_nonvanishing", degree=ex.degree)
     return {"complex": complex_literal(res.complex, ws.ring),
-            "splittings": {str(k): matrix_literal(v)
-                           for k, v in sorted(res.splittings.items())}}, True
+            "splittings": _components_literal(res.splittings)}, True
 
 
 def _free_replace(args, ws, x):
@@ -173,10 +173,8 @@ def _free_replace(args, ws, x):
     except ValueError as ex:
         return _rejected("free_replace.rejected", detail=str(ex))
     return {"complex": complex_literal(out, ws.ring),
-            "forward": {str(n): matrix_literal(m)
-                        for n, m in sorted(fwd.components.items())},
-            "backward": {str(n): matrix_literal(m)
-                         for n, m in sorted(bwd.components.items())}}, True
+            "forward": _components_literal(fwd.components),
+            "backward": _components_literal(bwd.components)}, True
 
 
 def _laurent_resolve(args, ws, p):

@@ -236,16 +236,15 @@ def _witness_from_acyclic(t: ProjComplex, special_degree: int,
     return w
 
 
-def stable_freeness_witness(inst: InstantData) -> StableFreenessWitness:
-    """Witness that im(P) is stably free, valid whenever A is all free.
+def stable_freeness_witness(inst: InstantData) -> StableFreenessWitness | None:
+    """Witness that im(P) is stably free, or None when A has a non-free module.
 
     Built from a contraction of the cone on u: K -> A; the cone is acyclic
     because u is an equivalence.
     """
     d = inst.domination
-    for n in d.A.degrees():
-        if not d.A.module(n).is_free:
-            raise ValueError("witness construction needs an all-free dominated complex")
+    if not all(d.A.module(n).is_free for n in d.A.degrees()):
+        return None
     # inst.u is certified by build_instant, so its cone needs no recheck.
     cone = _cone(inst.u)
     # In the cone, degree n holds A_n then K_{n-1}; the projective block
@@ -257,12 +256,10 @@ def finiteness_obstruction(d: Domination) -> ObstructionReport:
     """(chi, sigma) of the finite projective truncation of a domination."""
     inst = build_instant(d)
     rep = split_k0(k0_class_of_complex(inst.reduction))
-    all_free = all(d.A.module(n).is_free for n in d.A.degrees())
-    if all_free and rep.sigma_zero_witness is None:
+    if rep.sigma_zero_witness is None and (w := stable_freeness_witness(inst)) is not None:
         # K's only non-free module is K_0 = im(P), so sigma's plus side is
         # exactly im(P).
-        rep = ObstructionReport(rep.chi, rep.sigma, stable_freeness_witness(inst),
-                                inst.reduction.module(0))
+        rep = ObstructionReport(rep.chi, rep.sigma, w, inst.reduction.module(0))
     return rep
 
 

@@ -42,12 +42,6 @@ class K0Class:
     def __setattr__(self, name, value):
         raise AttributeError("K0 classes are immutable")
 
-    def rank_plus(self) -> int:
-        return sum(rank(m) for m in self.plus)
-
-    def rank_minus(self) -> int:
-        return sum(rank(m) for m in self.minus)
-
     def __repr__(self):
         return (f"K0Class(+{[m.ambient_rank for m in self.plus]}, "
                 f"-{[m.ambient_rank for m in self.minus]})")
@@ -137,7 +131,7 @@ class ObstructionReport:
 def split_k0(c: K0Class) -> ObstructionReport:
     """chi = rank difference; sigma = the class with free summands stripped
     and the smaller side padded free so its rank vanishes."""
-    chi = c.rank_plus() - c.rank_minus()
+    chi = sum(rank(m) for m in c.plus) - sum(rank(m) for m in c.minus)
     plus = [m for m in c.plus if not (m.is_free or m.is_zero)]
     minus = [m for m in c.minus if not (m.is_free or m.is_zero)]
     rp = sum(rank(m) for m in plus)

@@ -354,16 +354,8 @@ class LaurentRing(Ring):
         return self._canon(x + y)
 
     def _mul(self, x, y):
-        acc: dict[int, object] = {}
-        for e1, b1 in x:
-            for e2, b2 in y:
-                e = e1 + e2
-                p = self.base._mul(b1, b2)
-                cur = acc.get(e)
-                acc[e] = self.base._add(cur, p) if cur is not None else p
-        return tuple(
-            sorted((e, bd) for e, bd in acc.items() if not self.base._is_zero(bd))
-        )
+        mul = self.base._mul
+        return self._canon([(e1 + e2, mul(b1, b2)) for e1, b1 in x for e2, b2 in y])
 
     def _neg(self, x):
         return tuple((e, self.base._neg(bd)) for e, bd in x)

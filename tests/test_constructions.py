@@ -1,9 +1,10 @@
 """Laurent resolution windows, swindle prefixes, mapping tori, realization."""
+import pathlib
 import random
 
 import pytest
 
-from chaink0 import constructions, intlinalg
+from chaink0 import cli, complexes, constructions, intlinalg
 
 from chaink0.complexes import (ChainMap, Homotopy, ProjComplex, ProjModule,
                                homology, validate_complex)
@@ -18,7 +19,7 @@ from chaink0.matrices import Mat, ShapeError
 from chaink0.projective import quadratic_class_oracle, rank
 from chaink0.rings import C2, ZZ, QuadraticRing, UnsupportedRing
 from chaink0.verdicts import VerificationFailed
-from test_golden import REFUSED
+from test_golden import REFUSED, SUMMANDS, TORUS_C2
 
 Q5 = QuadraticRing(-5)
 
@@ -289,6 +290,29 @@ def test_torus_refuses_an_invalid_endomorphism(name, code):
     with pytest.raises(VerificationFailed) as ex:
         algebraic_mapping_torus(f)
     assert [v.code for v in ex.value.report.violations] == [code]
+
+
+@pytest.mark.parametrize("doc, name, code", [
+    (None, "flip", 0), (TORUS_C2, "f", 2), (TORUS_C2, "g", 0), (SUMMANDS, "k", 2)])
+def test_one_torus_command_checks_one_chain_map(doc, name, code, tmp_path,
+                                                monkeypatch, capsys):
+    """The torus checks 1 - t f alone, not f as well: one verify_chain_map
+    call per command, on the Laurent map, whether f is a chain map or not."""
+    path = pathlib.Path(__file__).parent / "fixtures" / "rp2.json"
+    if doc is not None:
+        path = tmp_path / "doc.json"
+        path.write_text(canonical_json(doc), encoding="utf-8")
+    checked = []
+
+    def counting(f):
+        checked.append(f.source.ring.kind)
+        return complexes.verify_chain_map(f)
+
+    for module in (cli, constructions):
+        monkeypatch.setattr(module, "verify_chain_map", counting)
+    assert cli.main(["torus", "--input", str(path), "--name", name]) == code
+    capsys.readouterr()
+    assert checked == ["laurent"]
 
 
 def test_torus_refuses_a_non_endomorphism():
