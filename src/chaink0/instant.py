@@ -311,20 +311,23 @@ def free_replacement(x: ProjComplex, w: StableFreenessWitness
     P + R^a; then changes basis there by the witness, P + R^a = R^b.  The
     forward map is the inclusion of x followed by iso at degree k, the
     backward map iso_inverse followed by the projection onto x.  Returns
-    the all-free complex together with the two equivalence maps.  An
-    invalid x, or a w that fails verify_stable_freeness, raises
-    VerificationFailed; the result and both maps are certified.
+    the all-free complex together with the two equivalence maps; an x that
+    is already all free comes back with identity maps, once w checks as a
+    witness for the free P = R^(b - a).  An invalid x, or a w that fails
+    verify_stable_freeness, raises VerificationFailed; the result and both
+    maps are certified.
     """
     validate_complex(x).require("invalid complex")
     ring = x.ring
     nonfree = [n for n in x.degrees() if not x.module(n).is_free]
+    if len(nonfree) > 1:
+        raise ValueError(f"more than one non-free module: degrees {nonfree}")
+    p = x.module(nonfree[0]) if nonfree else ProjModule.free(ring, max(w.b - w.a, 0))
+    verify_stable_freeness(p, w).require("witness fails")
     if not nonfree:
         ident = ChainMap.identity(x)
         return x, ident, ident
-    if len(nonfree) > 1:
-        raise ValueError(f"more than one non-free module: degrees {nonfree}")
     k = nonfree[0]
-    verify_stable_freeness(x.module(k), w).require("witness fails")
     elem = ProjComplex.free_complex(ring, k, [w.a, w.a], [Mat.identity(ring, w.a)])
     total = direct_sum(x, elem)
     j = k - total.bottom_degree

@@ -392,6 +392,19 @@ def test_free_replacement_rejects_bad_witness():
         free_replacement(x, bad)
 
 
+def test_free_replacement_checks_the_witness_of_an_all_free_complex():
+    """With nothing to replace, w must still witness the free R^(b - a):
+    iso = 5 and iso_inverse = 1 on R^3 are not inverse."""
+    from chaink0.projective import StableFreenessWitness
+    x = ProjComplex.free_complex(ZZ, 0, [1], [])
+    one = Mat.identity(ZZ, 3)
+    bad = StableFreenessWitness(2, 3, one.scale(ZZ.from_int(5)), one)
+    with pytest.raises(VerificationFailed, match="^witness fails: ") as ex:
+        free_replacement(x, bad)
+    assert [v.code for v in ex.value.report.violations] == [
+        "witness.not_right_inverse", "witness.not_left_inverse"]
+
+
 @pytest.mark.parametrize("name", ["R", "S"])
 def test_free_replacement_refuses_an_invalid_complex(name):
     """d d != 0 is refused before anything else: with a non-free module, the
