@@ -354,8 +354,8 @@ class LaurentRing(Ring):
         return self._canon(x + y)
 
     def _mul(self, x, y):
-        mul = self.base._mul
-        return self._canon([(e1 + e2, mul(b1, b2)) for e1, b1 in x for e2, b2 in y])
+        return self._canon([(e1 + e2, self.base._mul(b1, b2))
+                            for e1, b1 in x for e2, b2 in y])
 
     def _neg(self, x):
         return tuple((e, self.base._neg(bd)) for e, bd in x)
