@@ -10,6 +10,7 @@ indented JSON with a trailing newline.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .complexes import ChainMap, Homotopy, ProjComplex, ProjModule
@@ -35,8 +36,34 @@ MAX_IDEMPOTENT_FLAT_RANK = 60
 MAX_IDEMPOTENT_TERMS = 1000
 
 
+def _key(k) -> str:
+    """A dict key as json.dumps writes it; a non-str one through json.dumps."""
+    return encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n", which
+    the tests pin.  Each dict and list is one str.join; a dict that recurs
+    is encoded once per depth, keyed by (id, indent), ids that hold because
+    obj is alive for the whole call."""
+    memo: dict = {}
+
+    def enc(o, pad: str) -> str:
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if o.__class__ is int:
+            return int.__repr__(o)
+        inner = pad + "  "
+        if isinstance(o, (list, tuple)):
+            return f"[{inner}{(',' + inner).join([enc(v, inner) for v in o])}{pad}]" if o else "[]"
+        if not isinstance(o, dict):
+            return json.dumps(o)
+        if (text := memo.get((id(o), pad))) is None:
+            items = [f"{_key(k)}: {enc(v, inner)}" for k, v in sorted(o.items())]
+            text = memo[id(o), pad] = f"{{{inner}{(',' + inner).join(items)}{pad}}}" if o else "{}"
+        return text
+
+    return enc(obj, "\n") + "\n"
 
 
 # --- literal writers --------------------------------------------------------
@@ -53,10 +80,17 @@ def module_literal(p: ProjModule) -> dict:
 
 
 def complex_literal(x: ProjComplex, base: Ring) -> dict:
+    """One literal per distinct module or boundary object, shared wherever it
+    recurs (x keeps the ids alive), so that canonical_json encodes it once."""
+    shared: dict = {}
+
+    def once(obj, write):
+        return shared.get(id(obj)) or shared.setdefault(id(obj), write(obj))
+
     lit: dict = {
         "bottom_degree": x.bottom_degree,
-        "modules": [module_literal(m) for m in x.modules],
-        "boundaries": [matrix_literal(d) for d in x.boundaries],
+        "modules": [once(m, module_literal) for m in x.modules],
+        "boundaries": [once(d, matrix_literal) for d in x.boundaries],
     }
     if x.ring != base:
         if not (isinstance(x.ring, LaurentRing) and x.ring.base == base):

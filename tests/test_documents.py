@@ -3,10 +3,11 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaink0 import documents, rings
-from chaink0.complexes import ChainMap, Homotopy, ProjModule
-from chaink0.constructions import algebraic_mapping_torus, laurent_resolution
+from chaink0.complexes import ChainMap, Homotopy, ProjComplex, ProjModule
+from chaink0.constructions import algebraic_mapping_torus, laurent_resolution, swindle_prefix
 from chaink0.corpus import corpus_dominations, generate_corpus
 from chaink0.documents import (DocumentError, Workspace, canonical_json, matrix_literal,
                                parse_complex, parse_matrix, parse_module,
@@ -35,6 +36,59 @@ def parse_all(text: str) -> Workspace:
 def test_canonical_json_is_stable():
     a = canonical_json({"b": 1, "a": [2, 3]})
     assert a == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+def reference_json(obj) -> str:
+    """What canonical_json must return, byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# Strings with non-ASCII characters, control characters, quotes and
+# backslashes, as values and as keys.
+TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7f\u00e9\u2603\U0001f600') | st.characters())
+SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([10**40, -10**40])
+           | st.floats() | TEXT)
+# One non-empty dict per example: every draw of SHARED in it is the same object.
+SHARED = st.shared(st.dictionaries(TEXT, SCALARS | st.lists(SCALARS, max_size=3),
+                                   min_size=1, max_size=3), key="shared")
+
+
+def containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(TEXT, children, max_size=4)
+            | st.dictionaries(st.integers() | st.booleans() | st.floats(allow_nan=False),
+                              children, max_size=3)
+            | st.dictionaries(st.none(), children, max_size=1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.recursive(SCALARS | SHARED, containers, max_leaves=20), SHARED)
+def test_canonical_json_is_the_json_dumps_reference(tree, shared):
+    """The shared dict recurs inside the tree and, in the frame, twice at
+    depth 2 and once each at depths 1 and 3."""
+    framed = {"tree": tree, "same": [shared, (shared,)], "top": shared, "deep": [[shared]]}
+    assert canonical_json(framed) == reference_json(framed)
+    assert canonical_json(tree) == reference_json(tree)
+
+
+def test_a_swindle_literal_writes_each_distinct_boundary_once(monkeypatch):
+    """A window-64 swindle alternates two boundary objects: two matrix
+    literals, the same bytes as a copy whose 64 boundaries are fresh objects."""
+    cx = swindle_prefix(ProjModule(Mat.from_rows(ZZ, [[1, 1], [0, 0]])), 64)
+    fresh = ProjComplex(ZZ, 0, [ProjModule.free(ZZ, m.ambient_rank) for m in cx.modules],
+                        [Mat(d.ring, d.rows, d.cols, d.entries) for d in cx.boundaries])
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return matrix_literal(m)
+
+    monkeypatch.setattr(documents, "matrix_literal", counted)
+    shared = canonical_json(documents.complex_literal(cx, ZZ))
+    assert len(calls) == 2
+    del calls[:]
+    assert canonical_json(documents.complex_literal(fresh, ZZ)) == shared
+    assert len(calls) == 64
 
 
 def test_matrix_literal_round_trips():

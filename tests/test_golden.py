@@ -112,9 +112,11 @@ def fault_literal(fault: str) -> dict:
     elif fault == "reference":
         doc["dominations"]["dom3"]["i"] = "ghost"
     else:
-        mod = next(m for m in doc["complexes"]["A3"]["modules"] if m["ambient_rank"])
-        n = mod["ambient_rank"]
-        mod["idempotent"] = {"rows": n, "cols": n, "entries": ["2"] * (n * n)}
+        # A new dict: complex_literal shares one dict among equal-object modules.
+        mods = doc["complexes"]["A3"]["modules"]
+        j, n = next((j, m["ambient_rank"]) for j, m in enumerate(mods) if m["ambient_rank"])
+        mods[j] = {"ambient_rank": n,
+                   "idempotent": {"rows": n, "cols": n, "entries": ["2"] * (n * n)}}
     return doc
 
 
