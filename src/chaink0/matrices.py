@@ -55,10 +55,14 @@ class Mat:
 
     @classmethod
     def zero(cls, ring: Ring, rows: int, cols: int) -> "Mat":
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative matrix size {rows} x {cols}")
         return cls._of(ring, rows, cols, [ring.zero] * (rows * cols))
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "Mat":
+        if n < 0:
+            raise ShapeError(f"negative matrix size {n} x {n}")
         z, o = ring.zero, ring.one
         return cls._of(ring, n, n, [o if i == j else z for i in range(n) for j in range(n)])
 

@@ -41,6 +41,11 @@ def test_validate_complex():
                for v in rep.violations)
 
 
+def test_a_free_module_of_negative_rank_is_a_shape_error():
+    with pytest.raises(ShapeError, match="negative matrix size"):
+        ProjModule.free(ZZ, -1)
+
+
 def _seeded_modules(rng, ring, n):
     """The free module of rank n and g D g^-1 for a seeded unimodular g and
     a diagonal D of zeros and ones."""

@@ -54,6 +54,14 @@ def test_shape_errors():
         Mat.identity(ZZ, 2) @ Mat.identity(C2, 2)
 
 
+@pytest.mark.parametrize("build", [lambda: Mat.identity(ZZ, -1), lambda: Mat.zero(ZZ, -1, 2),
+                                   lambda: Mat.zero(ZZ, 2, -1)],
+                         ids=["identity", "zero-rows", "zero-cols"])
+def test_negative_sizes_are_shape_errors(build):
+    with pytest.raises(ShapeError, match="negative matrix size"):
+        build()
+
+
 def test_flatten_multiplicative():
     rng = random.Random(1)
     for ring in FINITE_RINGS:
