@@ -170,7 +170,9 @@ def _free_replace(args, ws, x):
         raise DocumentError(f"unresolved witness reference: {args.witness!r}")
     try:
         out, fwd, bwd = free_replacement(x, ws.witnesses[args.witness])
-    except ValueError as ex:
+    except VerificationFailed:  # _run reports its violations
+        raise
+    except ValueError as ex:  # more than one non-free module
         return _rejected("free_replace.rejected", detail=str(ex))
     return {"complex": complex_literal(out, ws.ring),
             "forward": _components_literal(fwd.components),

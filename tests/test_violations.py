@@ -18,7 +18,7 @@ from chaink0.instant import Domination, verify_domination
 from chaink0.matrices import Mat
 from chaink0.projective import StableFreenessWitness, verify_stable_freeness
 from chaink0.rings import ZZ
-from test_golden import REFUSED
+from test_golden import SUMMANDS
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "chaink0"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -131,7 +131,7 @@ ROWS = {
         ["trim", "--name", "circle", "--below", "0"],
         json.loads((FIXTURES / "rp2.json").read_text(encoding="utf-8"))),
     "free_replace.rejected": lambda: cli_codes(
-        ["free-replace", "--name", "R", "--witness", "w"], REFUSED),
+        ["free-replace", "--name", "T", "--witness", "w3"], SUMMANDS),
 }
 
 
