@@ -41,29 +41,29 @@ def _key(k) -> str:
     return encode_basestring_ascii(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
 
 
+def _encode(o, pad: str, memo: dict) -> str:
+    """o's JSON text at indent pad; memo maps (id, pad) of each dict done to its text."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o.__class__ is int:
+        return int.__repr__(o)
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)):
+        items = [_encode(v, inner, memo) for v in o]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]" if o else "[]"
+    if not isinstance(o, dict):
+        return json.dumps(o)
+    if (text := memo.get((id(o), pad))) is None:
+        items = [f"{_key(k)}: {_encode(v, inner, memo)}" for k, v in sorted(o.items())]
+        text = memo[id(o), pad] = f"{{{inner}{(',' + inner).join(items)}{pad}}}" if o else "{}"
+    return text
+
+
 def canonical_json(obj) -> str:
-    """The bytes of json.dumps(obj, sort_keys=True, indent=2) + "\\n", which
-    the tests pin.  Each dict and list is one str.join; a dict that recurs
-    is encoded once per depth, keyed by (id, indent), ids that hold because
-    obj is alive for the whole call."""
-    memo: dict = {}
-
-    def enc(o, pad: str) -> str:
-        if isinstance(o, str):
-            return encode_basestring_ascii(o)
-        if o.__class__ is int:
-            return int.__repr__(o)
-        inner = pad + "  "
-        if isinstance(o, (list, tuple)):
-            return f"[{inner}{(',' + inner).join([enc(v, inner) for v in o])}{pad}]" if o else "[]"
-        if not isinstance(o, dict):
-            return json.dumps(o)
-        if (text := memo.get((id(o), pad))) is None:
-            items = [f"{_key(k)}: {enc(v, inner)}" for k, v in sorted(o.items())]
-            text = memo[id(o), pad] = f"{{{inner}{(',' + inner).join(items)}{pad}}}" if o else "{}"
-        return text
-
-    return enc(obj, "\n") + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\\n" byte for byte, as the
+    tests pin: one str.join per container, and a dict that recurs encoded once
+    per depth (the memo's keys are (id, indent); obj keeps the ids alive)."""
+    return _encode(obj, "\n", {}) + "\n"
 
 
 # --- literal writers --------------------------------------------------------

@@ -1,4 +1,5 @@
 """Workspace document parsing, canonical serialization, and error reporting."""
+import gc
 import json
 import pathlib
 
@@ -69,6 +70,18 @@ def test_canonical_json_is_the_json_dumps_reference(tree, shared):
     framed = {"tree": tree, "same": [shared, (shared,)], "top": shared, "deep": [[shared]]}
     assert canonical_json(framed) == reference_json(framed)
     assert canonical_json(tree) == reference_json(tree)
+
+
+def test_canonical_json_leaves_no_reference_cycle():
+    """The memo of encoded texts goes when the call returns, not at the next
+    garbage collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        canonical_json({"a": [{"b": 1}, {"c": [2]}]})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_a_swindle_literal_writes_each_distinct_boundary_once(monkeypatch):
