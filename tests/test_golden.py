@@ -112,7 +112,7 @@ def fault_literal(fault: str) -> dict:
     elif fault == "reference":
         doc["dominations"]["dom3"]["i"] = "ghost"
     else:
-        # A new dict: complex_literal shares one dict among equal-object modules.
+        # A new dict: complex_literal shares one dict among the places of one module.
         mods = doc["complexes"]["A3"]["modules"]
         j, n = next((j, m["ambient_rank"]) for j, m in enumerate(mods) if m["ambient_rank"])
         mods[j] = {"ambient_rank": n,
