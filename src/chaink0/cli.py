@@ -2,8 +2,9 @@
 
 Reads workspace documents, runs one verification or construction command,
 and emits a deterministic report.  Exit status: 0 for clean results, 2 for
-verification violations (the report is still emitted), 1 for malformed
-input, unresolved references, or unsupported-ring operations.
+verification violations (the report is still emitted), 1 for malformed or
+unreadable input, an unwritable --output, unresolved references, or
+unsupported-ring operations.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ def _load(args) -> tuple[Workspace, str]:
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         raise DocumentError(f"cannot read input: {ex}") from ex
     names = [args.name] + ([args.witness] if hasattr(args, "witness") else [])
     return parse_workspace(text, names), hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -46,8 +47,11 @@ def _emit(args, payload: dict) -> None:
     else:
         out = _as_text(payload)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as ex:
+            raise DocumentError(f"cannot write output: {ex}") from ex
     else:
         sys.stdout.write(out)
 

@@ -69,11 +69,8 @@ def generate_corpus(seed: int, count: int, ring_name: str = "integers") -> dict:
     if ring_name not in _RINGS:
         raise ValueError(f"unknown corpus ring {ring_name!r}; "
                          f"options: {sorted(_RINGS)}")
-    ring = _RINGS[ring_name]
-    rng = random.Random(f"{seed}:{ring_name}")
-    ws = Workspace(ring)
-    for idx in range(count):
-        d = random_domination(rng, ring)
+    ws = Workspace(_RINGS[ring_name])
+    for idx, d in enumerate(corpus_dominations(seed, count, ring_name)):
         ws.complexes[f"A{idx}"] = d.A
         ws.complexes[f"C{idx}"] = d.C
         ws.maps[f"i{idx}"] = d.i
@@ -85,7 +82,7 @@ def generate_corpus(seed: int, count: int, ring_name: str = "integers") -> dict:
 
 def corpus_dominations(seed: int, count: int, ring_name: str = "integers"
                        ) -> list[Domination]:
-    """The same corpus as in-memory objects, in document order."""
+    """The corpus of generate_corpus as in-memory objects, in document order."""
     ring = _RINGS[ring_name]
     rng = random.Random(f"{seed}:{ring_name}")
     return [random_domination(rng, ring) for _ in range(count)]

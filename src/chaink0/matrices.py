@@ -19,6 +19,8 @@ class Mat:
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: Ring, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
+            raise ShapeError(f"negative matrix size {rows} x {cols}")
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries, got {len(entries)}")

@@ -453,6 +453,22 @@ def test_text_format(capsys):
     assert "betti" in out and not out.lstrip().startswith("{")
 
 
+def test_input_not_utf8_exit_1(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "verify", "--input", str(doc), "--name", "X")
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read input: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dest", ["missing/report.json", "."], ids=["no-directory", "directory"])
+def test_output_not_writable_exit_1(tmp_path, capsys, dest):
+    code, out, err = run(capsys, "homology", "--input", str(FIXTURES / "rp2.json"),
+                         "--name", "circle", "--output", str(tmp_path / dest))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
+
 def test_output_file(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run(capsys, "homology", "--input", str(FIXTURES / "rp2.json"),

@@ -55,8 +55,9 @@ def test_shape_errors():
 
 
 @pytest.mark.parametrize("build", [lambda: Mat.identity(ZZ, -1), lambda: Mat.zero(ZZ, -1, 2),
-                                   lambda: Mat.zero(ZZ, 2, -1)],
-                         ids=["identity", "zero-rows", "zero-cols"])
+                                   lambda: Mat.zero(ZZ, 2, -1),
+                                   lambda: Mat(ZZ, -1, -1, [ZZ.one])],
+                         ids=["identity", "zero-rows", "zero-cols", "init"])
 def test_negative_sizes_are_shape_errors(build):
     with pytest.raises(ShapeError, match="negative matrix size"):
         build()
