@@ -20,7 +20,7 @@ from .constructions import (algebraic_mapping_torus, laurent_resolution,
 from .corpus import generate_corpus
 from .documents import (DocumentError, Workspace, _components_literal, canonical_json,
                         complex_literal, matrix_literal, module_literal, parse_workspace,
-                        witness_literal)
+                        text_view, witness_literal)
 from .instant import (Domination, TrimPreconditionError, build_instant,
                       finiteness_obstruction, free_replacement, trim_below,
                       verify_domination)
@@ -42,10 +42,7 @@ def _load(args) -> tuple[Workspace, str]:
 
 
 def _emit(args, payload: dict) -> None:
-    if args.format == "structured":
-        out = canonical_json(payload)
-    else:
-        out = _as_text(payload)
+    out = (canonical_json if args.format == "structured" else text_view)(payload)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -54,25 +51,6 @@ def _emit(args, payload: dict) -> None:
             raise DocumentError(f"cannot write output: {ex}") from ex
     else:
         sys.stdout.write(out)
-
-
-def _as_text(payload) -> str:
-    lines = []
-
-    def walk(key, value, depth):
-        pad = "  " * depth
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            for k in sorted(value):
-                walk(k, value[k], depth + 1)
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: " + ", ".join(map(str, value)))
-        else:
-            lines.append(f"{pad}{key}: {value}")
-
-    for k in sorted(payload):
-        walk(k, payload[k], 0)
-    return "\n".join(lines) + "\n"
 
 
 def _obstruction_payload(dom: Domination, bound: int | None) -> tuple[dict, bool]:

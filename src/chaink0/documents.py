@@ -5,7 +5,8 @@ stable-freeness witnesses, with bit-exact round-tripping.
 Element literals: integers as decimal strings, group-ring elements as
 [[coeff, index], ...], Laurent elements as [[base-literal, exponent], ...],
 quadratic elements as [a, b].  Canonical output is sorted-key, two-space
-indented JSON with a trailing newline.
+indented JSON with a trailing newline; text_view writes the same payload
+as one "path: value" line per leaf, each value canonical JSON on one line.
 """
 from __future__ import annotations
 
@@ -64,6 +65,21 @@ def canonical_json(obj) -> str:
     tests pin: one str.join per container, and a dict that recurs encoded once
     per depth (the memo's keys are (id, indent); obj keeps the ids alive)."""
     return _encode(obj, "\n", {}) + "\n"
+
+
+def _paths(value, path: str):
+    """One "path: json" line per leaf; a non-empty dict is walked by sorted key."""
+    if isinstance(value, dict) and value:
+        for k in sorted(value):
+            yield from _paths(value[k], f"{path}.{k}" if path else k)
+    else:
+        yield f"{path}: {json.dumps(value, sort_keys=True)}\n"
+
+
+def text_view(payload: dict) -> str:
+    """The payload as one line per leaf, its key path joined by "." and its
+    value written by json.dumps, so the lines rebuild the payload exactly."""
+    return "".join(_paths(payload, ""))
 
 
 # --- literal writers --------------------------------------------------------

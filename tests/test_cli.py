@@ -15,6 +15,7 @@ from chaink0.corpus import corpus_dominations, generate_corpus
 from chaink0.documents import Workspace, canonical_json
 from chaink0.matrices import Mat
 
+from test_documents import rebuild
 from test_golden import REFUSED
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -430,7 +431,8 @@ def every_command_run(refused: pathlib.Path):
 
 def test_every_command_on_every_named_object_keeps_the_contract(tmp_path, capsys):
     """Exit 0, 1 or 2 and never a traceback; exit 1 prints one error: line
-    and nothing on stdout, exits 0 and 2 print nothing on stderr."""
+    and nothing on stdout, exits 0 and 2 print nothing on stderr, and their
+    --format text lines rebuild the structured payload."""
     refused = tmp_path / "refused.json"
     refused.write_text(canonical_json(REFUSED), encoding="utf-8")
     for argv in every_command_run(refused):
@@ -442,15 +444,19 @@ def test_every_command_on_every_named_object_keeps_the_contract(tmp_path, capsys
         assert code in (0, 1, 2), argv
         if code == 1:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
-        else:
-            assert out and err == "", argv
+            continue
+        assert out and err == "", argv
+        assert main(argv + ["--format", "text"]) == code, argv
+        text, text_err = capsys.readouterr()
+        assert text_err == "" and rebuild(text) == json.loads(out), argv
 
 
 def test_text_format(capsys):
-    code, out, _ = run(capsys, "homology", "--input", str(FIXTURES / "rp2.json"),
-                       "--name", "circle", "--format", "text")
+    argv = ["homology", "--input", str(FIXTURES / "rp2.json"), "--name", "circle"]
+    _, structured, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--format", "text")
     assert code == 0
-    assert "betti" in out and not out.lstrip().startswith("{")
+    assert rebuild(out) == json.loads(structured)
 
 
 def test_input_not_utf8_exit_1(tmp_path, capsys):

@@ -12,7 +12,7 @@ from chaink0.constructions import algebraic_mapping_torus, laurent_resolution, s
 from chaink0.corpus import corpus_dominations, generate_corpus
 from chaink0.documents import (DocumentError, Workspace, canonical_json, matrix_literal,
                                parse_complex, parse_matrix, parse_module,
-                               parse_workspace, workspace_literal)
+                               parse_workspace, text_view, workspace_literal)
 from chaink0.instant import verify_domination
 from chaink0.matrices import Mat
 from chaink0.rings import C2, ZZ, LaurentRing, QuadraticRing
@@ -82,6 +82,37 @@ def test_canonical_json_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def rebuild(text: str) -> dict:
+    """The payload that text_view wrote: each line split at its first ": ",
+    its path nested on "." and its value read as JSON."""
+    assert text.endswith("\n")
+    payload: dict = {}
+    for line in text[:-1].split("\n"):
+        path, value = line.split(": ", 1)
+        *parents, leaf = path.split(".")
+        node = payload
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = json.loads(value)
+    return payload
+
+
+def test_text_view_writes_one_json_line_per_leaf():
+    """Strings escaped as json.dumps does, empty containers as leaves, and the
+    keys of a dict inside a list sorted, whatever order they arrived in."""
+    payload = {"report": {"ok": False, "violations": [{"degree": 2, "code": "c"}],
+                          "detail": 'caf\u00e9 "q" \\ \n\t\x00', "none": {}},
+               "empty": [], "generator": None}
+    assert text_view(payload) == (
+        'empty: []\n'
+        'generator: null\n'
+        r'report.detail: "caf\u00e9 \"q\" \\ \n\t\u0000"' '\n'
+        'report.none: {}\n'
+        'report.ok: false\n'
+        'report.violations: [{"code": "c", "degree": 2}]\n')
+    assert rebuild(text_view(payload)) == payload
 
 
 def test_a_swindle_literal_writes_each_distinct_boundary_once(monkeypatch):
