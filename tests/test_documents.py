@@ -86,7 +86,8 @@ def test_canonical_json_leaves_no_reference_cycle():
 
 def rebuild(text: str) -> dict:
     """The payload that text_view wrote: each line split at its first ": ",
-    its path nested on "." and its value read as JSON."""
+    its path nested on "." and its value read as JSON, which json.dumps with
+    sorted keys writes back to the same text."""
     assert text.endswith("\n")
     payload: dict = {}
     for line in text[:-1].split("\n"):
@@ -96,6 +97,7 @@ def rebuild(text: str) -> dict:
         for key in parents:
             node = node.setdefault(key, {})
         node[leaf] = json.loads(value)
+        assert json.dumps(node[leaf], sort_keys=True) == value, line
     return payload
 
 
